@@ -1,100 +1,45 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels on both backends.
+"""Benchmark the hot kernels and check their values.
 
-The backend is fixed at import time by the CLSIBOUND_PURE_NUMPY environment
-flag, so each timing run happens in a subprocess: once with the default
-(numba-jitted) path and once with the pure-numpy fallback.  Results must
-agree; the table reports per-call times and the speedup.
+Times each kernel per call, then checks every kernel value against an
+independent evaluation: the ratio objectives against the ``entropy``
+functionals at the witness state, the DOI kernel matrix against its closed
+form.  Any relative disagreement above 1e-10 fails the run.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
-
-PROBE = r"""
-import json
 import time
 
 import numpy as np
 
-from clsibound import _kernels
+from clsibound import _kernels, entropy, estimator, lindblad
+from clsibound.graphs import make_graph
+from clsibound.spectral import superop_from_generators
 
-REPEATS = __REPEATS__
+GATE = 1e-10
 
 
 def build_case(n, seed):
+    """A random parameter vector, a two-generator double-commutator
+    superoperator and the trace expectation at dimension n."""
     rng = np.random.default_rng(seed)
     theta = rng.normal(size=n * n)
     gens = []
     for _ in range(2):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         gens.append(0.5 * (a + a.conj().T))
-    total = np.zeros((n * n, n * n), dtype=complex)
-    for a in gens:
-        c = np.kron(np.eye(n), a) - np.kron(a.T, np.eye(n))
-        total += c @ c
-    superop = np.ascontiguousarray(total)
-    v = np.eye(n, dtype=complex).T.reshape(-1)
-    eproj = np.ascontiguousarray(np.outer(v, v.conj()) / n)
-    return theta, superop, eproj
+    return theta, superop_from_generators(gens, n), lindblad.trace_expectation(n)
 
 
 def timeit(fn, repeats):
-    fn()  # warm-up (numba compiles here)
+    fn()  # warm-up
     start = time.perf_counter()
     for _ in range(repeats):
         fn()
     return (time.perf_counter() - start) / repeats * 1e6  # us/call
-
-
-results = {"backend": _kernels.BACKEND, "timings": {}, "values": {}}
-
-x = np.linspace(0.1, 8.0, 64)
-results["timings"]["kernel_matrix(64x64)"] = timeit(
-    lambda: _kernels.kernel_matrix(x, x, _kernels.KERNEL_LOG_QUOTIENT, 0.0), REPEATS)
-results["values"]["kernel_matrix"] = float(
-    _kernels.kernel_matrix(x, x, _kernels.KERNEL_LOG_QUOTIENT, 0.0).sum())
-
-for n in (2, 5):
-    theta, superop, eproj = build_case(n, seed=n)
-    results["timings"][f"mlsi_terms(n={n})"] = timeit(
-        lambda: _kernels.mlsi_terms(theta, superop, eproj, n), REPEATS)
-    results["values"][f"mlsi(n={n})"] = list(
-        _kernels.mlsi_terms(theta, superop, eproj, n))
-    results["timings"][f"cpsi_terms(n={n}, p=1.5)"] = timeit(
-        lambda: _kernels.cpsi_terms(theta, superop, eproj, n, 1.5), REPEATS)
-    results["values"][f"cpsi(n={n})"] = list(
-        _kernels.cpsi_terms(theta, superop, eproj, n, 1.5))
-
-rng = np.random.default_rng(9)
-nv = 8
-mu = np.full(nv, 1.0 / nv)
-eu = np.arange(nv - 1, dtype=np.int64)
-ev = eu + 1
-ew = np.ones(nv - 1)
-ctheta = rng.normal(size=nv)
-results["timings"]["classical_terms(n=8)"] = timeit(
-    lambda: _kernels.classical_terms(ctheta, mu, eu, ev, ew), REPEATS)
-results["values"]["classical"] = list(
-    _kernels.classical_terms(ctheta, mu, eu, ev, ew))
-
-print(json.dumps(results))
-"""
-
-
-def run_backend(pure_numpy: bool, repeats: int) -> dict:
-    env = dict(os.environ)
-    if pure_numpy:
-        env["CLSIBOUND_PURE_NUMPY"] = "1"
-    else:
-        env.pop("CLSIBOUND_PURE_NUMPY", None)
-    out = subprocess.run([sys.executable, "-c", PROBE.replace("__REPEATS__", str(repeats))],
-                         capture_output=True, text=True, env=env, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def main() -> int:
@@ -102,30 +47,61 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=2000)
     args = parser.parse_args()
 
-    jitted = run_backend(pure_numpy=False, repeats=args.repeats)
-    plain = run_backend(pure_numpy=True, repeats=args.repeats)
+    timings = {}
+    pairs = {}  # name -> (kernel values, reference values)
 
-    print(f"backends: default={jitted['backend']}, fallback={plain['backend']}")
-    print(f"{'kernel':32s} {'numba us':>12s} {'numpy us':>12s} {'speedup':>9s}")
-    for key in jitted["timings"]:
-        a = jitted["timings"][key]
-        b = plain["timings"][key]
-        print(f"{key:32s} {a:12.2f} {b:12.2f} {b / a:8.1f}x")
+    x = np.linspace(0.1, 8.0, 64)
+    timings["kernel_matrix(64x64)"] = timeit(
+        lambda: _kernels.kernel_matrix(x, x, _kernels.KERNEL_LOG_QUOTIENT, 0.0),
+        args.repeats)
+    dx = x[:, None] - x[None, :]
+    off = ~np.eye(len(x), dtype=bool)
+    closed = np.diag(1.0 / x)
+    closed[off] = np.log(x[:, None] / x[None, :])[off] / dx[off]
+    pairs["kernel_matrix"] = (
+        _kernels.kernel_matrix(x, x, _kernels.KERNEL_LOG_QUOTIENT, 0.0).ravel(),
+        closed.ravel())
+
+    p = 1.5
+    for n in (2, 5):
+        theta, s, e = build_case(n, seed=n)
+        eproj = e.superop_matrix()
+        timings[f"mlsi_terms(n={n})"] = timeit(
+            lambda: _kernels.mlsi_terms(theta, s.matrix, eproj, n), args.repeats)
+        timings[f"cpsi_terms(n={n}, p={p})"] = timeit(
+            lambda: _kernels.cpsi_terms(theta, s.matrix, eproj, n, p), args.repeats)
+        rho = estimator._MatrixObjective(s, e).witness(theta)
+        sigma = e(rho)
+        _, fisher, d = _kernels.mlsi_terms(theta, s.matrix, eproj, n)
+        pairs[f"mlsi(n={n})"] = (
+            [fisher, d],
+            [entropy.fisher_lindblad(s, rho), entropy.lindblad_rel_entropy(rho, sigma)])
+        _, fisher, d = _kernels.cpsi_terms(theta, s.matrix, eproj, n, p)
+        pairs[f"cpsi(n={n})"] = (
+            [fisher, d], [entropy.p_fisher(s, rho, p), entropy.p_rel_entropy(rho, sigma, p)])
+
+    nv = 8
+    g = make_graph(nv, [(i, i + 1) for i in range(nv - 1)])
+    objective = estimator._ClassicalObjective(g)
+    ctheta = np.random.default_rng(9).normal(size=nv)
+    timings[f"classical_terms(n={nv})"] = timeit(lambda: objective.terms(ctheta),
+                                                  args.repeats)
+    _, fisher, d = objective.terms(ctheta)
+    f = objective.witness(ctheta)
+    pairs["classical"] = ([fisher, d], [entropy.fisher_graph(g, f), entropy.entropy_graph(g, f)])
+
+    print(f"{'kernel':32s} {'us/call':>12s}")
+    for key, us in timings.items():
+        print(f"{key:32s} {us:12.2f}")
 
     worst = 0.0
-    for key, value in jitted["values"].items():
-        a = value if isinstance(value, list) else [value]
-        b = plain["values"][key]
-        b = b if isinstance(b, list) else [b]
-        for x, y in zip(a, b):
-            scale = max(1.0, abs(x))
-            worst = max(worst, abs(x - y) / scale)
-    print(f"max relative disagreement between backends: {worst:.3e}")
-    if worst > 1e-10:
-        print("ERROR: backends disagree beyond 1e-10", file=sys.stderr)
+    for key, (values, reference) in pairs.items():
+        for a, b in zip(values, reference):
+            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    print(f"max relative disagreement with the independent evaluation: {worst:.3e}")
+    if worst > GATE:
+        print(f"ERROR: kernels disagree beyond {GATE:.0e}", file=sys.stderr)
         return 1
-    if jitted["backend"] == plain["backend"]:
-        print("note: numba unavailable, both runs used the numpy path")
     return 0
 
 

@@ -16,7 +16,7 @@ batteries  named verification batteries behind ``clsibound verify``
 cli        command-line interface
 """
 
-from ._kernels import BACKEND, HAVE_NUMBA
+from ._kernels import BACKEND
 from .estimator import (
     EstimateOptions,
     EstimateReport,
@@ -75,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "HAVE_NUMBA",
     "BoundCertificate",
     "ConditionalExpectation",
     "EstimateOptions",

@@ -1,26 +1,30 @@
-"""Hot numeric kernels with a numba-jitted default and a pure-numpy fallback.
+"""Hot numeric kernels: the DOI kernel matrix and the ratio objectives that
+the optimizer evaluates.
 
-The jitted path is the default.  Set the environment variable
-``CLSIBOUND_PURE_NUMPY=1`` before import to select the plain-numpy path
-(useful for debugging and as a baseline for ``benchmarks/bench_kernels.py``).
-
-Everything here is written once, in nopython-compatible style, and either
-left as-is (numpy path) or wrapped with ``numba.njit`` (default path).
+The ratio objectives are written with numpy broadcasting over eigenvalue
+pairs, and the Bregman helpers here are the ones the entropy functionals
+use too, so an objective and its independent functional share one formula.
+The kernel matrix stays a plain loop: at the few-eigenvalue sizes of the
+DOI calls it is faster than the broadcast form.  Matrix products use
+``ndarray.dot``, whose call overhead at these sizes is well under that of
+the ``@`` operator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 
 import numpy as np
-
-_ENV_FLAG = "CLSIBOUND_PURE_NUMPY"
 
 # Scalar kernel codes shared with spectral.ScalarKernel.
 KERNEL_LOG_QUOTIENT = 0
 KERNEL_POWER_QUOTIENT = 1
 KERNEL_TILT = 2
+
+# Reported in estimate JSON; kept as a constant so the report schema is
+# unchanged.
+BACKEND = "numpy"
 
 # |x - y| < DIAG_REL_TOL * max(x, y) switches to the analytic derivative
 # value; the off-diagonal branches use log1p/expm1 so they stay accurate
@@ -42,19 +46,20 @@ ENTROPY_FLOOR = 1e-10
 _EXPECTATION_FLOOR = 1e-14
 
 
-def _bregman_log(r):
-    # r ln r - r + 1 >= 0, accurate near r = 1 (no large-term cancellation)
+def bregman(r):
+    """h(r) = r ln r - r + 1 >= 0, accurate near r = 1 (no large-term
+    cancellation)."""
     x = r - 1.0
-    return r * math.log1p(x) - x
+    return r * np.log1p(x) - x
 
 
-def _bregman_power(x, y, p):
-    # x^p - y^p - p (x - y) y^(p-1) >= 0 for p in (1, 2)
+def bregman_power(x, y, p):
+    """x^p - y^p - p (x - y) y^(p-1) >= 0 for p in (1, 2)."""
     u = x / y - 1.0
-    return (y ** p) * (math.expm1(p * math.log1p(u)) - p * u)
+    return (y ** p) * (np.expm1(p * np.log1p(u)) - p * u)
 
 
-def _kernel_matrix(x, y, kind, p):
+def kernel_matrix(x, y, kind, p):
     nx = x.shape[0]
     ny = y.shape[0]
     out = np.empty((nx, ny))
@@ -81,230 +86,128 @@ def _kernel_matrix(x, y, kind, p):
     return out
 
 
-def _hermitian_from_params(theta, n):
-    # theta layout: n diagonal entries, then (re, im) per pair i < j
-    h = np.zeros((n, n), dtype=np.complex128)
-    k = 0
-    for i in range(n):
-        h[i, i] = complex(theta[k], 0.0)
-        k += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i, j] = complex(theta[k], theta[k + 1])
-            h[j, i] = complex(theta[k], -theta[k + 1])
-            k += 2
-    return h
+@functools.lru_cache(maxsize=None)  # one entry per dimension in use
+def _decoder(n):
+    """Complex (n^2, n^2) matrix mapping a parameter vector to the row-major
+    entries of its Hermitian matrix.
 
-
-def _column_vec(a, n):
-    v = np.empty(n * n, dtype=np.complex128)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            v[t] = a[i, j]
-            t += 1
-    return v
-
-
-def _column_unvec(v, n):
-    a = np.empty((n, n), dtype=np.complex128)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            a[i, j] = v[t]
-            t += 1
-    return a
-
-
-def _dagger(a):
-    n = a.shape[0]
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = np.conj(a[j, i])
-    return out
-
-
-def _state_and_expectation(theta, eproj, n):
-    """Shared head of the ratio objectives.
-
-    Returns (ok, p, U, mu, V, overlap, vec_rho): eigenvalues/eigenvectors of
-    rho and of sigma = E(rho) (trace-renormalized), the overlap matrix
-    |<u_i|v_j>|^2, and vec(rho).  ok = False flags an excluded point.
+    Layout of the parameters: n diagonal entries, then (re, im) per pair
+    i < j in row-major order.  Every entry is one parameter times 1 or +-i,
+    so decoding through this matrix is exact.
     """
-    h = _hermitian_from_params(theta, n)
-    w, u = np.linalg.eigh(h)
-    wmax = 0.0
+    dec = np.zeros((n, n, n * n), dtype=np.complex128)
     for i in range(n):
-        wmax = max(wmax, abs(w[i]))
-    zero1 = np.zeros(1)
-    zero2 = np.zeros((1, 1), dtype=np.complex128)
-    zerov = np.zeros(1, dtype=np.complex128)
-    zeroo = np.zeros((1, 1))
-    if wmax > H_CAP:
-        return False, zero1, zero2, zero1, zero2, zeroo, zerov
-    z = np.exp(w)
-    total = z.sum()
-    p = (n / total) * z
-    ud = _dagger(u)
-    rho = (u * p) @ ud
-    v = _column_vec(rho, n)
-    sv = eproj @ v
-    raw = _column_unvec(sv, n)
-    tr = 0.0
-    for i in range(n):
-        tr += raw[i, i].real
-    if tr <= 0.0:
-        return False, zero1, zero2, zero1, zero2, zeroo, zerov
-    c = n / tr
-    sig = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            sig[i, j] = 0.5 * (raw[i, j] + np.conj(raw[j, i])) * c
-    mu, vmat = np.linalg.eigh(sig)
-    if mu[0] <= _EXPECTATION_FLOOR * mu[n - 1] or mu[0] <= 0.0:
-        return False, zero1, zero2, zero1, zero2, zeroo, zerov
-    ov = ud @ vmat
-    overlap = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            s = ov[i, j]
-            overlap[i, j] = s.real * s.real + s.imag * s.imag
-    return True, p, u, mu, vmat, overlap, v
-
-
-def _mlsi_terms(theta, superop, eproj, n):
-    """Objective for the MLSI ratio I(rho)/D(rho || E rho).
-
-    Returns (ratio, fisher, entropy); ratio is +inf on excluded points
-    (spectral cap breach, broken expectation, entropy under the floor).
-    """
-    ok, p, u, mu, vmat, overlap, v = _state_and_expectation(theta, eproj, n)
-    if not ok:
-        return (np.inf, 0.0, 0.0)
-    d = 0.0
-    for i in range(n):
-        for j in range(n):
-            d += overlap[i, j] * mu[j] * _bregman_log(p[i] / mu[j])
-    d /= n
-    if d < ENTROPY_FLOOR:
-        return (np.inf, 0.0, d)
-    lw = np.log(p)
-    lw = lw - lw.mean()  # constant shift is traceless against A(rho)
-    lnrho = (u * lw) @ _dagger(u)
-    av = superop @ v
-    a = _column_unvec(av, n)
-    fisher = 0.0
-    for i in range(n):
-        for j in range(n):
-            fisher += (a[i, j] * lnrho[j, i]).real
-    fisher /= n
-    return (fisher / d, fisher, d)
-
-
-def _cpsi_terms(theta, superop, eproj, n, p_exp):
-    """Objective for the p-ratio I^p(rho)/d^p(rho || E rho), p in (1,2)."""
-    ok, p, u, mu, vmat, overlap, v = _state_and_expectation(theta, eproj, n)
-    if not ok:
-        return (np.inf, 0.0, 0.0)
-    d = 0.0
-    for i in range(n):
-        for j in range(n):
-            d += overlap[i, j] * _bregman_power(p[i], mu[j], p_exp)
-    d /= n
-    if d < ENTROPY_FLOOR:
-        return (np.inf, 0.0, d)
-    rp = p ** (p_exp - 1.0)
-    rp = rp - rp.mean()
-    rmat = (u * rp) @ _dagger(u)
-    av = superop @ v
-    a = _column_unvec(av, n)
-    fisher = 0.0
-    for i in range(n):
-        for j in range(n):
-            fisher += (a[i, j] * rmat[j, i]).real
-    fisher = p_exp * fisher / n
-    return (fisher / d, fisher, d)
-
-
-def _classical_terms(theta, mu, edge_u, edge_v, edge_w):
-    """Objective for the classical graph ratio over positive vertex functions
-    f = exp(theta); the ratio is scale invariant so no normalization is
-    applied."""
-    nv = theta.shape[0]
-    tmax = 0.0
-    for i in range(nv):
-        tmax = max(tmax, abs(theta[i]))
-    if tmax > H_CAP:
-        return (np.inf, 0.0, 0.0)
-    f = np.exp(theta)
-    xi = 0.0
-    for x in range(nv):
-        xi += mu[x] * f[x]
-    d = 0.0
-    for x in range(nv):
-        d += mu[x] * xi * _bregman_log(f[x] / xi)
-    if d < ENTROPY_FLOOR:
-        return (np.inf, 0.0, d)
-    fisher = 0.0
-    for e in range(edge_u.shape[0]):
-        a = edge_u[e]
-        b = edge_v[e]
-        fisher += edge_w[e] * (mu[a] + mu[b]) * (f[b] - f[a]) * (theta[b] - theta[a])
-    return (fisher / d, fisher, d)
-
-
-def _want_numba() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in {"1", "true", "yes"}
-
-
-HAVE_NUMBA = False
-if _want_numba():
-    try:
-        from numba import njit  # noqa: F401
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    _jit = njit(cache=True)
-    # Rebind helpers first so the outer kernels resolve them as compiled
-    # callees.
-    _bregman_log = _jit(_bregman_log)
-    _bregman_power = _jit(_bregman_power)
-    _hermitian_from_params = _jit(_hermitian_from_params)
-    _column_vec = _jit(_column_vec)
-    _column_unvec = _jit(_column_unvec)
-    _dagger = _jit(_dagger)
-    _state_and_expectation = _jit(_state_and_expectation)
-    kernel_matrix = _jit(_kernel_matrix)
-    mlsi_terms = _jit(_mlsi_terms)
-    cpsi_terms = _jit(_cpsi_terms)
-    classical_terms = _jit(_classical_terms)
-else:
-    BACKEND = "numpy"
-    kernel_matrix = _kernel_matrix
-    mlsi_terms = _mlsi_terms
-    cpsi_terms = _cpsi_terms
-    classical_terms = _classical_terms
+        dec[i, i, i] = 1.0
+    rows, cols = np.triu_indices(n, 1)
+    for pair, (i, j) in enumerate(zip(rows, cols)):
+        k = n + 2 * pair
+        dec[i, j, k], dec[i, j, k + 1] = 1.0, 1.0j
+        dec[j, i, k], dec[j, i, k + 1] = 1.0, -1.0j
+    dec = dec.reshape(n * n, n * n)
+    dec.setflags(write=False)  # cached and shared by every caller
+    return dec
 
 
 def hermitian_from_params(theta, n: int) -> np.ndarray:
     """Decode an optimizer parameter vector into a Hermitian matrix."""
-    return _hermitian_from_params(np.ascontiguousarray(theta, dtype=np.float64), n)
+    return _decoder(n).dot(np.asarray(theta, dtype=np.float64)).reshape(n, n)
 
 
 def params_from_hermitian(h: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hermitian_from_params` (imaginary diagonal dropped)."""
     n = h.shape[0]
+    upper = h[np.triu_indices(n, 1)]
     theta = np.empty(n * n)
     theta[:n] = np.real(np.diag(h))
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            theta[k] = h[i, j].real
-            theta[k + 1] = h[i, j].imag
-            k += 2
+    theta[n::2] = upper.real
+    theta[n + 1::2] = upper.imag
     return theta
+
+
+def _state_and_expectation(theta, eproj, n):
+    """Shared head of the matrix ratio objectives.
+
+    Returns (p, U, mu, overlap, vec_rho): eigenvalues/eigenvectors of rho,
+    eigenvalues of sigma = E(rho) (trace-renormalized), the overlap matrix
+    |<u_i|v_j>|^2, and vec(rho); None flags an excluded point.
+    """
+    w, u = np.linalg.eigh(hermitian_from_params(theta, n))
+    if max(w[n - 1], -w[0]) > H_CAP:  # eigh sorts w ascending
+        return None
+    z = np.exp(w)
+    p = (n / z.sum()) * z
+    ud = u.conj().T
+    v = (u * p).dot(ud).T.ravel()
+    raw = eproj.dot(v).reshape(n, n).T
+    tr = raw.trace().real
+    if tr <= 0.0:
+        return None
+    sig = 0.5 * (raw + raw.conj().T) * (n / tr)
+    mu, vmat = np.linalg.eigh(sig)
+    if mu[0] <= _EXPECTATION_FLOOR * mu[n - 1] or mu[0] <= 0.0:
+        return None
+    ov = ud.dot(vmat)
+    overlap = ov.real * ov.real + ov.imag * ov.imag
+    return p, u, mu, overlap, v
+
+
+def _trace_against(superop, v, u, values):
+    # tr(A(rho) U diag(values) U*) with vec(A(rho)) = superop vec(rho): the
+    # column-stacked vec against the row-major ravel pairs a_ij with g_ji.
+    g = (u * values).dot(u.conj().T)
+    return superop.dot(v).dot(g.ravel()).real
+
+
+def mlsi_terms(theta, superop, eproj, n):
+    """Objective for the MLSI ratio I(rho)/D(rho || E rho).
+
+    Returns (ratio, fisher, entropy); ratio is +inf on excluded points
+    (spectral cap breach, broken expectation, entropy under the floor).
+    """
+    state = _state_and_expectation(theta, eproj, n)
+    if state is None:
+        return (np.inf, 0.0, 0.0)
+    p, u, mu, overlap, v = state
+    d = (overlap * mu * bregman(p[:, None] / mu)).sum() / n
+    if d < ENTROPY_FLOOR:
+        return (np.inf, 0.0, d)
+    lw = np.log(p)
+    lw -= lw.sum() / n  # constant shift is traceless against A(rho)
+    fisher = _trace_against(superop, v, u, lw) / n
+    return (fisher / d, fisher, d)
+
+
+def cpsi_terms(theta, superop, eproj, n, p_exp):
+    """Objective for the p-ratio I^p(rho)/d^p(rho || E rho), p in (1,2)."""
+    state = _state_and_expectation(theta, eproj, n)
+    if state is None:
+        return (np.inf, 0.0, 0.0)
+    p, u, mu, overlap, v = state
+    d = (overlap * bregman_power(p[:, None], mu, p_exp)).sum() / n
+    if d < ENTROPY_FLOOR:
+        return (np.inf, 0.0, d)
+    rp = p ** (p_exp - 1.0)
+    rp -= rp.sum() / n
+    fisher = p_exp * _trace_against(superop, v, u, rp) / n
+    return (fisher / d, fisher, d)
+
+
+def classical_terms(theta, mu, incidence, edge_c):
+    """Objective for the classical graph ratio over positive vertex functions
+    f = exp(theta); the ratio is scale invariant so no normalization is
+    applied.
+
+    ``incidence`` is the signed edge-vertex matrix (-1 at u, +1 at v per
+    edge (u, v)) and ``edge_c`` holds w_uv (mu(u) + mu(v)) per edge.  Each
+    edge term is a product of two differences of the same sign, so the
+    Fisher sum has no cancellation.
+    """
+    if max(map(abs, theta.tolist())) > H_CAP:  # a few values: builtins win
+        return (np.inf, 0.0, 0.0)
+    f = np.exp(theta)
+    xi = mu.dot(f)
+    d = xi * mu.dot(bregman(f / xi))
+    if d < ENTROPY_FLOOR:
+        return (np.inf, 0.0, d)
+    fisher = edge_c.dot(incidence.dot(f) * incidence.dot(theta))
+    return (fisher / d, fisher, d)

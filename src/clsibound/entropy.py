@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import bregman, bregman_power
 from .exceptions import ConsistencyError, PositivityError
 from .graphs import WeightedGraph
 from .spectral import (
@@ -27,23 +28,11 @@ from .spectral import (
     doi_apply,
     eig_hermitian,
     matrix_log,
-    ntrace,
     require_hermitian,
 )
 
-STATE_EIG_FLOOR = 1e-10
 STATE_TRACE_TOL = 1e-10
 FISHER_FORM_TOL = 1e-6
-
-
-def _bregman(r: np.ndarray) -> np.ndarray:
-    x = r - 1.0
-    return r * np.log1p(x) - x
-
-
-def _bregman_power(p: np.ndarray, q: np.ndarray, exponent: float) -> np.ndarray:
-    u = p / q - 1.0
-    return (q ** exponent) * (np.expm1(exponent * np.log1p(u)) - exponent * u)
 
 
 def _positive_dec(a, what: str) -> SpectralDecomposition:
@@ -57,19 +46,6 @@ def _positive_dec(a, what: str) -> SpectralDecomposition:
 
 def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(u.conj().T @ v) ** 2
-
-
-def require_state(rho, trace_tol: float = STATE_TRACE_TOL) -> np.ndarray:
-    """Validate a state: Hermitian, strictly positive, tau(rho) = 1."""
-    rho = require_hermitian(rho, what="state")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < STATE_EIG_FLOOR:
-        raise PositivityError(
-            f"state min eigenvalue {w[0]:.6e} below floor {STATE_EIG_FLOOR:.0e}")
-    tau = ntrace(rho)
-    if abs(tau - 1.0) > trace_tol:
-        raise ValueError(f"state normalized trace is {tau!r}, expected 1")
-    return rho
 
 
 @dataclass(frozen=True)
@@ -91,7 +67,7 @@ def lindblad_rel_entropy(rho, sigma) -> float:
     s = _overlap(dr.eigenvectors, ds.eigenvectors)
     p = dr.eigenvalues[:, None]
     q = ds.eigenvalues[None, :]
-    return float((s * q * _bregman(p / q)).sum()) / rho.shape[0]
+    return float((s * q * bregman(p / q)).sum()) / rho.shape[0]
 
 
 def rel_entropy(rho, sigma, support_tol: float = 1e-12) -> RelEntropyResult:
@@ -117,7 +93,7 @@ def rel_entropy(rho, sigma, support_tol: float = 1e-12) -> RelEntropyResult:
     q = ws[support]
     s = np.abs(dr.eigenvectors.conj().T @ vs[:, support]) ** 2
     p = dr.eigenvalues[:, None]
-    d_lin = float((s * q[None, :] * _bregman(p / q[None, :])).sum()) / n
+    d_lin = float((s * q[None, :] * bregman(p / q[None, :])).sum()) / n
     value = d_lin + (float(np.trace(rho).real) - float(ws.sum())) / n
     return RelEntropyResult(finite=True, value=value)
 
@@ -147,7 +123,7 @@ def p_rel_entropy(rho, sigma, p: float) -> float:
     s = _overlap(dr.eigenvectors, ds.eigenvectors)
     pv = dr.eigenvalues[:, None]
     qv = ds.eigenvalues[None, :]
-    return float((s * _bregman_power(pv, qv, p)).sum()) / rho.shape[0]
+    return float((s * bregman_power(pv, qv, p)).sum()) / rho.shape[0]
 
 
 def _centered_spectral_product(s: SpectralSuperoperator, rho_dec: SpectralDecomposition,
@@ -255,7 +231,7 @@ def entropy_graph(g: WeightedGraph, f, normalized: bool = False) -> float:
         s = _overlap(dr.eigenvectors, ds.eigenvectors)
         p = dr.eigenvalues[:, None]
         q = ds.eigenvalues[None, :]
-        total += g.measure[x] * float((s * q * _bregman(p / q)).sum()) / m
+        total += g.measure[x] * float((s * q * bregman(p / q)).sum()) / m
     return total
 
 

@@ -182,7 +182,7 @@ def _state_from_theta(theta: np.ndarray, n: int) -> np.ndarray:
 
 class _MatrixObjective:
     """Callable wrapper binding a superoperator and fixed-point projection
-    to the jitted ratio kernel."""
+    to the MLSI or p-Sobolev ratio objective of ``_kernels``."""
 
     def __init__(self, s: SpectralSuperoperator, e_fix, p: Optional[float] = None):
         self.n = s.dim
@@ -213,14 +213,15 @@ class _ClassicalObjective:
     def __init__(self, g: WeightedGraph):
         self.g = g
         self.mu = np.ascontiguousarray(g.measure, dtype=np.float64)
-        self.edge_u = np.ascontiguousarray([u for u, _, _ in g.edges], dtype=np.int64)
-        self.edge_v = np.ascontiguousarray([v for _, v, _ in g.edges], dtype=np.int64)
-        self.edge_w = np.ascontiguousarray([w for _, _, w in g.edges], dtype=np.float64)
+        self.incidence = np.zeros((g.edge_count, g.n))
+        self.edge_c = np.empty(g.edge_count)
+        for e, (u, v, w) in enumerate(g.edges):
+            self.incidence[e, u], self.incidence[e, v] = -1.0, 1.0
+            self.edge_c[e] = w * (self.mu[u] + self.mu[v])
 
     def terms(self, theta: np.ndarray):
         theta = np.ascontiguousarray(theta, dtype=np.float64)
-        return _kernels.classical_terms(theta, self.mu, self.edge_u,
-                                        self.edge_v, self.edge_w)
+        return _kernels.classical_terms(theta, self.mu, self.incidence, self.edge_c)
 
     def __call__(self, theta: np.ndarray) -> float:
         return self.terms(theta)[0]
@@ -233,7 +234,7 @@ class _ClassicalObjective:
 
 
 def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
-                extra_starts: Sequence[np.ndarray], backend: str,
+                extra_starts: Sequence[np.ndarray],
                 p: Optional[float] = None) -> EstimateReport:
     dof = objective.dof()
     per_restart = []
@@ -282,7 +283,7 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
                           witness_theta=np.asarray(best_theta, dtype=float),
                           per_restart=per_restart,
                           restarts=opts.restarts, seed=opts.seed, options=opts,
-                          backend=backend, p=p)
+                          backend=_kernels.BACKEND, p=p)
 
 
 def mlsi_estimate(s: SpectralSuperoperator, e_fix, opts: Optional[EstimateOptions] = None,
@@ -292,7 +293,7 @@ def mlsi_estimate(s: SpectralSuperoperator, e_fix, opts: Optional[EstimateOption
     opts = opts or EstimateOptions()
     objective = _MatrixObjective(s, e_fix)
     return _multistart(objective, opts, target or s.label or "superoperator",
-                       "mlsi", extra_starts, _kernels.BACKEND)
+                       "mlsi", extra_starts)
 
 
 def cpsi_estimate(s: SpectralSuperoperator, e_fix, p: float,
@@ -306,7 +307,7 @@ def cpsi_estimate(s: SpectralSuperoperator, e_fix, p: float,
     opts = opts or EstimateOptions()
     objective = _MatrixObjective(s, e_fix, p=p)
     return _multistart(objective, opts, target or s.label or "superoperator",
-                       "cpsi", extra_starts, _kernels.BACKEND, p=p)
+                       "cpsi", extra_starts, p=p)
 
 
 def classical_mlsi_estimate(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
@@ -321,7 +322,7 @@ def classical_mlsi_estimate(g: WeightedGraph, opts: Optional[EstimateOptions] = 
     opts = opts or EstimateOptions()
     objective = _ClassicalObjective(g)
     return _multistart(objective, opts, target or f"graph(n={g.n})",
-                       "classical-mlsi", extra_starts, _kernels.BACKEND)
+                       "classical-mlsi", extra_starts)
 
 
 def evaluate_ratio(s: SpectralSuperoperator, e_fix, theta: np.ndarray,
@@ -329,10 +330,6 @@ def evaluate_ratio(s: SpectralSuperoperator, e_fix, theta: np.ndarray,
     """Re-evaluate the exact objective at a parameter vector (used to confirm
     reported values reproduce)."""
     return _MatrixObjective(s, e_fix, p=p).terms(np.asarray(theta, dtype=float))
-
-
-def evaluate_classical_ratio(g: WeightedGraph, theta: np.ndarray):
-    return _ClassicalObjective(g).terms(np.asarray(theta, dtype=float))
 
 
 def lift_expectation_matrix(e_fix, n: int, m: int) -> np.ndarray:
@@ -386,8 +383,7 @@ def _entropy_against(rho, sigma_dec, n: int) -> float:
     w = np.clip(w, DECAY_VALUE_FLOOR * 1e-6, None)
     mu, v = sigma_dec
     overlap = np.abs(u.conj().T @ v) ** 2
-    r = w[:, None] / mu[None, :]
-    return float((overlap * mu[None, :] * (r * np.log1p(r - 1.0) - (r - 1.0))).sum()) / n
+    return float((overlap * mu[None, :] * _kernels.bregman(w[:, None] / mu[None, :])).sum()) / n
 
 
 def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:

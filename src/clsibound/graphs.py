@@ -252,10 +252,6 @@ class CyclicCover:
         self.m_vertex.setflags(write=False)
 
     @property
-    def phi(self) -> tuple:
-        return self.sequence
-
-    @property
     def cycle_length(self) -> int:
         return len(self.sequence)
 

@@ -36,11 +36,6 @@ def ntrace(a: np.ndarray) -> float:
     return float(np.trace(a).real) / a.shape[0]
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Normalized Hilbert-Schmidt inner product tau(a* b)."""
-    return complex(np.trace(a.conj().T @ b)) / a.shape[0]
-
-
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(a, dtype=complex).T.reshape(-1)
@@ -114,15 +109,11 @@ def matrix_log(rho) -> np.ndarray:
     return matrix_function(rho, np.log, require_positive=True)
 
 
-def matrix_power(rho, exponent: float) -> np.ndarray:
-    return matrix_function(rho, lambda w: w ** exponent, require_positive=True)
-
-
 @dataclass(frozen=True)
 class ScalarKernel:
     """Symmetric positive scalar kernel k(x, y) with its diagonal limit.
 
-    Built-in kinds dispatch to the jitted kernel-matrix builder; ``custom``
+    Built-in kinds dispatch to the shared kernel-matrix builder; ``custom``
     carries an evaluator that must handle x == y itself.
     """
 

@@ -1,81 +1,67 @@
-"""Hot-kernel backend: jitted and pure-numpy paths agree; parameter
-encoding round-trips."""
-
-import json
-import os
-import subprocess
-import sys
+"""Hot kernels: the ratio objectives agree with the independent entropy
+and Fisher functionals; DOI kernel values; parameter encoding round-trips;
+objective guards."""
 
 import numpy as np
 import pytest
 
-from clsibound import _kernels
+from clsibound import _kernels, entropy, estimator, lindblad
+from clsibound.graphs import make_graph
 
-PROBE = r"""
-import json
-import numpy as np
-from clsibound import _kernels
-
-rng = np.random.default_rng(123)
-x = rng.uniform(0.1, 5.0, size=4)
-y = rng.uniform(0.1, 5.0, size=4)
-k = _kernels.kernel_matrix(x, y, _kernels.KERNEL_LOG_QUOTIENT, 0.0)
-
-n = 3
-theta = rng.normal(size=n * n)
-a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-a = 0.5 * (a + a.conj().T)
-c = np.kron(np.eye(n), a) - np.kron(a.T, np.eye(n))
-superop = np.ascontiguousarray(c @ c)
-v = np.eye(n, dtype=complex).T.reshape(-1)
-eproj = np.ascontiguousarray(np.outer(v, v.conj()) / n)
-ratio, fisher, d = _kernels.mlsi_terms(theta, superop, eproj, n)
-ratio_p, fisher_p, dp = _kernels.cpsi_terms(theta, superop, eproj, n, 1.5)
-
-mu = np.full(4, 0.25)
-eu = np.array([0, 1, 2], dtype=np.int64)
-ev = np.array([1, 2, 3], dtype=np.int64)
-ew = np.ones(3)
-cr, cf, cd = _kernels.classical_terms(rng.normal(size=4), mu, eu, ev, ew)
-
-print(json.dumps({
-    "backend": _kernels.BACKEND,
-    "kernel": k.tolist(),
-    "mlsi": [ratio, fisher, d],
-    "cpsi": [ratio_p, fisher_p, dp],
-    "classical": [cr, cf, cd],
-}))
-"""
+PARITY_REL = 1e-12
 
 
-def run_probe(pure_numpy: bool) -> dict:
-    env = dict(os.environ)
-    if pure_numpy:
-        env["CLSIBOUND_PURE_NUMPY"] = "1"
-    else:
-        env.pop("CLSIBOUND_PURE_NUMPY", None)
-    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
-                         text=True, env=env, check=True)
-    return json.loads(out.stdout)
+def cycle_system(n):
+    """Graph generator of the n-cycle (a single edge at n = 2) with its
+    fixed-point expectation."""
+    edges = [(0, 1)] if n == 2 else [(i, (i + 1) % n) for i in range(n)]
+    s = lindblad.graph_lindblad(make_graph(n, edges))
+    return s, lindblad.fixed_point_dim(s).expectation
 
 
-class TestBackendSelection:
-    def test_default_backend_reports(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
+def interior_thetas(n, seed, count=4):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=n * n) for _ in range(count)]
 
-    def test_env_flag_selects_numpy(self):
-        assert run_probe(pure_numpy=True)["backend"] == "numpy"
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_paths_agree(self):
-        jitted = run_probe(pure_numpy=False)
-        plain = run_probe(pure_numpy=True)
-        assert jitted["backend"] == "numba"
-        np.testing.assert_allclose(jitted["kernel"], plain["kernel"],
-                                   rtol=1e-13, atol=1e-15)
-        for key in ("mlsi", "cpsi", "classical"):
-            np.testing.assert_allclose(jitted[key], plain[key],
-                                       rtol=1e-10, atol=1e-14)
+class TestObjectiveParity:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_mlsi_terms_match_functionals(self, n):
+        s, e = cycle_system(n)
+        for theta in interior_thetas(n, seed=n):
+            ratio, fisher, d = _kernels.mlsi_terms(theta, s.matrix, e.superop_matrix(), n)
+            rho = estimator._MatrixObjective(s, e).witness(theta)
+            assert d == pytest.approx(entropy.lindblad_rel_entropy(rho, e(rho)),
+                                      rel=PARITY_REL)
+            assert fisher == pytest.approx(entropy.fisher_lindblad(s, rho), rel=PARITY_REL)
+            assert ratio == fisher / d
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_cpsi_terms_match_functionals(self, n):
+        p = 1.5
+        s, e = cycle_system(n)
+        for theta in interior_thetas(n, seed=10 + n):
+            ratio, fisher, d = _kernels.cpsi_terms(theta, s.matrix, e.superop_matrix(), n, p)
+            rho = estimator._MatrixObjective(s, e, p=p).witness(theta)
+            assert d == pytest.approx(entropy.p_rel_entropy(rho, e(rho), p), rel=PARITY_REL)
+            assert fisher == pytest.approx(entropy.p_fisher(s, rho, p), rel=PARITY_REL)
+            assert ratio == fisher / d
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_classical_terms_match_functionals(self, n):
+        rng = np.random.default_rng(20 + n)
+        edges = [(i, (i + 1) % n, float(rng.uniform(0.5, 2.0))) for i in range(n)]
+        edges.append((0, 2, 1.0))
+        measure = rng.uniform(0.5, 1.5, size=n)
+        g = make_graph(n, edges, measure=measure / measure.sum())
+        objective = estimator._ClassicalObjective(g)
+        for _ in range(4):
+            theta = rng.normal(size=n)
+            ratio, fisher, d = objective.terms(theta)
+            f = objective.witness(theta)
+            assert d == pytest.approx(entropy.entropy_graph(g, f), rel=PARITY_REL)
+            assert fisher == pytest.approx(entropy.fisher_graph(g, f), rel=PARITY_REL)
+            assert ratio == fisher / d
 
 
 class TestKernelMatrix:
