@@ -7,6 +7,7 @@ so the checks exist exactly once.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -47,12 +48,10 @@ def _rand_positive(rng, n: int, lo: float = 0.05, hi: float = 20.0) -> np.ndarra
     return (u * w) @ u.conj().T
 
 
-def _rand_state(rng, n: int, scale: float = 1.0) -> np.ndarray:
-    h = _rand_hermitian(rng, n, scale)
-    w, u = np.linalg.eigh(h)
-    p = np.exp(w)
-    p = n * p / p.sum()
-    return (u * p) @ u.conj().T
+def random_state(rng, n: int, scale: float = 1.0) -> np.ndarray:
+    """Gibbs state of a Gaussian Hermitian matrix: the ``random:SEED``
+    initial state of ``clsibound decay`` and the batteries' random state."""
+    return spectral.gibbs_state(_rand_hermitian(rng, n, scale))
 
 
 def _rand_cptp_kraus(rng, n: int, count: int) -> list:
@@ -160,8 +159,8 @@ def battery_doi_monotonicity(trials: int = 100, seed: int = 14) -> BatteryResult
         n = int(rng.integers(2, 4))
         kraus = _rand_cptp_kraus(rng, n, int(rng.integers(2, 5)))
         lift = sum(np.kron(k.conj(), k) for k in kraus)
-        rho = _rand_state(rng, n)
-        sigma = _rand_state(rng, n)
+        rho = random_state(rng, n)
+        sigma = random_state(rng, n)
         b_rho = sum(k @ rho @ k.conj().T for k in kraus)
         b_sigma = sum(k @ sigma @ k.conj().T for k in kraus)
         q_in = spectral.doi_superop_matrix(rho, sigma, kernel)
@@ -187,7 +186,7 @@ def battery_edge_product(seed: int = 15) -> BatteryResult:
         for e1 in expectations[:2]:
             for e2 in expectations[-2:]:
                 ok &= np.array_equal(e1.mask * e2.mask, e2.mask * e1.mask)
-        rho = _rand_state(rng, n)
+        rho = random_state(rng, n)
         seq = rho.copy()
         for e in expectations:
             seq = e(seq)
@@ -217,7 +216,7 @@ def battery_diagonal_entropy_comparison(states: int = 100, seed: int = 16) -> Ba
         s = lindblad.graph_lindblad(graphs.make_graph(n, edge_list))
         e_diag = lindblad.diagonal_expectation(n)
         for _ in range(states):
-            rho = _rand_state(rng, n)
+            rho = random_state(rng, n)
             d = entropy.entropy_to_expectation(rho, e_diag)
             i = entropy.fisher_lindblad(s, rho)
             worst = max(worst, d - bound * i)
@@ -235,7 +234,7 @@ def battery_diagonal_fisher_monotone(states: int = 100, seed: int = 17) -> Batte
         s = lindblad.graph_lindblad(graphs.make_graph(n, edge_list))
         e_diag = lindblad.diagonal_expectation(n)
         for _ in range(states):
-            rho = _rand_state(rng, n)
+            rho = random_state(rng, n)
             worst = max(worst, entropy.fisher_lindblad(s, e_diag(rho))
                         - entropy.fisher_lindblad(s, rho))
     return BatteryResult("diagonal-fisher-monotone", worst <= 1e-10, max(worst, 0.0),
@@ -254,7 +253,7 @@ def battery_pinching_p_sobolev(trials: int = 60, seed: int = 18) -> BatteryResul
         s = SpectralSuperoperator.from_matrix(
             np.eye(n * n, dtype=complex) - e.superop_matrix(), n,
             label="id-minus-pinching")
-        rho = _rand_state(rng, n)
+        rho = random_state(rng, n)
         sigma = e(rho)
         for p in (1.1, 1.5, 1.9):
             dp = entropy.p_rel_entropy(rho, sigma, p)
@@ -271,8 +270,8 @@ def battery_p_limits(trials: int = 40, seed: int = 19) -> BatteryResult:
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 5))
-        rho = _rand_state(rng, n)
-        sigma = _rand_state(rng, n)
+        rho = random_state(rng, n)
+        sigma = random_state(rng, n)
         d_lin = entropy.lindblad_rel_entropy(rho, sigma)
         dp = entropy.p_rel_entropy(rho, sigma, p) / (p - 1.0)
         worst = max(worst, abs(dp - d_lin) / max(abs(d_lin), 1e-12))
@@ -295,7 +294,7 @@ def battery_fisher_forms(trials: int = 50, seed: int = 20) -> BatteryResult:
         n = int(rng.integers(2, 5))
         gens = [_rand_hermitian(rng, n) for _ in range(int(rng.integers(1, 4)))]
         s = spectral.superop_from_generators(gens)
-        rho = _rand_state(rng, n)
+        rho = random_state(rng, n)
         spectral_form = entropy.fisher_lindblad(s, rho)
         derivation_form = 0.0
         for a in s.generators:
@@ -320,7 +319,7 @@ def battery_fisher_derivative(trials: int = 50, seed: int = 21,
         e_fix = lindblad.fixed_point_dim(s).expectation
         # cushion away from the spectrum edge: the -h propagation is
         # expansive and must stay strictly positive
-        rho = 0.75 * _rand_state(rng, n, scale=0.7) + 0.25 * np.eye(n)
+        rho = 0.75 * random_state(rng, n, scale=0.7) + 0.25 * np.eye(n)
         sigma = e_fix(rho)
         plus = entropy.lindblad_rel_entropy(spectral._propagate(s, step, rho), sigma)
         minus = entropy.lindblad_rel_entropy(spectral._propagate(s, -step, rho), sigma)
@@ -352,7 +351,7 @@ def battery_gradient_estimate(seed: int = 22) -> BatteryResult:
     worst = -np.inf
     inflated_violated = False
     for _ in range(5):
-        rho = _rand_state(rng, 2)
+        rho = random_state(rng, 2)
         a = _rand_hermitian(rng, 2)
         good = lindblad.gradient_estimate_check(gens, 1.0, rho, a, grid)
         worst = max(worst, good.worst)
@@ -398,7 +397,7 @@ def battery_semigroup(trials: int = 30, seed: int = 24) -> BatteryResult:
         s = spectral.superop_from_generators(gens)
         worst = max(worst, float(np.abs(s.matrix - s.matrix.conj().T).max()))
         worst = max(worst, float(np.abs(s.matrix @ spectral.vec(np.eye(n))).max()))
-        rho = _rand_state(rng, n)
+        rho = random_state(rng, n)
         for t in (0.0, 0.3, 1.0, 10.0):
             rho_t = spectral.semigroup_apply(s, t, rho)
             worst = max(worst, abs(np.trace(rho_t).real - np.trace(rho).real))
@@ -427,7 +426,7 @@ def battery_expectations(trials: int = 25, seed: int = 25) -> BatteryResult:
         eye = np.eye(n, dtype=complex)
         worst = max(worst, float(np.abs(e(eye) - eye).max()))
         for _ in range(trials):
-            rho = _rand_state(rng, n)
+            rho = random_state(rng, n)
             once = e(rho)
             worst = max(worst, float(np.abs(e(once) - once).max()))
             worst = max(worst, abs(np.trace(once).real - np.trace(rho).real))
@@ -476,8 +475,8 @@ def battery_data_processing(trials: int = 50, seed: int = 27) -> BatteryResult:
         n = int(rng.integers(3, 7))
         split = int(rng.integers(1, n))
         pinch = lindblad.block_pinching([list(range(split)), list(range(split, n))], n)
-        rho = _rand_state(rng, n)
-        sigma = _rand_state(rng, n)
+        rho = random_state(rng, n)
+        sigma = random_state(rng, n)
         before = entropy.rel_entropy(rho, sigma).value
         after = entropy.rel_entropy(pinch(rho), pinch(sigma)).value
         worst = max(worst, after - before)
@@ -496,7 +495,7 @@ def battery_iter_chain(trials: int = 40, seed: int = 28) -> BatteryResult:
         e1 = lindblad.edge_expectation((0, 1), n)
         e2 = lindblad.edge_expectation((2, 3), n)
         both = lindblad.compose_pinchings([e1, e2])
-        rho = _rand_state(rng, n)
+        rho = random_state(rng, n)
         total = entropy.entropy_to_expectation(rho, both)
         parts = (entropy.entropy_to_expectation(rho, e1)
                  + entropy.entropy_to_expectation(rho, e2))
@@ -520,7 +519,7 @@ def battery_scaling(trials: int = 30, seed: int = 29) -> BatteryResult:
         g = _rand_connected_graph(rng, n)
         s = lindblad.graph_lindblad(g)
         e_fix = lindblad.fixed_point_dim(s).expectation
-        rho = _rand_state(rng, n)
+        rho = random_state(rng, n)
         c = float(rng.uniform(0.2, 5.0))
         d1 = entropy.entropy_to_expectation(rho, e_fix)
         dc = entropy.entropy_to_expectation(c * rho, e_fix)
@@ -559,7 +558,7 @@ def battery_expo_decay(trials: int = 20, seed: int = 31) -> BatteryResult:
     s = lindblad.pauli_system()
     worst = -np.inf
     for _ in range(trials):
-        rho = _rand_state(rng, 2)
+        rho = random_state(rng, 2)
         i0 = entropy.fisher_lindblad(s, rho)
         for t in np.linspace(0.0, 2.0, 9):
             it = entropy.fisher_lindblad(s, spectral.semigroup_apply(s, float(t), rho))
@@ -631,34 +630,14 @@ REGISTRY: dict = {
     "graph-bounds": battery_graph_bounds,
 }
 
-# Batteries whose trial count is meaningfully tunable from the CLI.
-_TUNABLE = {
-    "doi-identity": "trials",
-    "quadrature": "trials",
-    "entropy-interpolation": "trials",
-    "doi-monotonicity": "trials",
-    "diagonal-entropy-comparison": "states",
-    "diagonal-fisher-monotone": "states",
-    "pinching-p-sobolev": "trials",
-    "p-limits": "trials",
-    "fisher-forms": "trials",
-    "fisher-derivative": "trials",
-    "semigroup": "trials",
-    "expectations": "trials",
-    "change-of-measure": "trials",
-    "data-processing": "trials",
-    "iter-chain": "trials",
-    "scaling": "trials",
-    "expo-decay": "trials",
-    "graph-bounds": "trials",
-}
-
-_DIMS_AWARE = {"doi-identity", "quadrature"}
-
 
 def run_batteries(only: Optional[str] = None, trials: Optional[int] = None,
                   dims: Optional[int] = None) -> list:
-    """Run all (or one) named batteries with optional trial/dim overrides."""
+    """Run all (or one) named batteries with optional trial/dim overrides.
+
+    ``trials`` goes to a battery's ``trials`` or ``states`` parameter and
+    ``dims`` to its ``dims`` parameter; a battery without one ignores it.
+    """
     names = [only] if only else list(REGISTRY)
     results = []
     for name in names:
@@ -666,10 +645,11 @@ def run_batteries(only: Optional[str] = None, trials: Optional[int] = None,
             raise KeyError(
                 f"unknown battery {name!r}; known: {', '.join(REGISTRY)}")
         fn = REGISTRY[name]
+        params = inspect.signature(fn).parameters
         kwargs = {}
-        if trials is not None and name in _TUNABLE:
-            kwargs[_TUNABLE[name]] = trials
-        if dims is not None and name in _DIMS_AWARE:
+        if trials is not None:
+            kwargs.update((key, trials) for key in ("trials", "states") if key in params)
+        if dims is not None and "dims" in params:
             kwargs["dims"] = tuple(range(2, max(2, dims) + 1))
         results.append(fn(**kwargs))
     return results

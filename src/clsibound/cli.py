@@ -72,7 +72,7 @@ def _build_target(name: str, graph_path):
     return s, fixed_point_dim(s).expectation, name
 
 
-def _initial_state(spec: str, s, seed: int) -> np.ndarray:
+def _initial_state(spec: str, s) -> np.ndarray:
     n = s.dim
     if spec == "zwitness":
         if n != 2:
@@ -82,12 +82,7 @@ def _initial_state(spec: str, s, seed: int) -> np.ndarray:
         return np.eye(n, dtype=complex)
     if spec.startswith("random:"):
         rng = np.random.default_rng(int(spec.split(":", 1)[1]))
-        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = 0.5 * (h + h.conj().T)
-        w, u = np.linalg.eigh(h)
-        p = np.exp(w)
-        p = n * p / p.sum()
-        return (u * p) @ u.conj().T
+        return batteries.random_state(rng, n)
     with open(spec) as handle:
         import json
 
@@ -166,7 +161,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_decay(args) -> int:
     s, e_fix, label = _build_target(args.target, args.graph)
-    rho0 = _initial_state(args.state, s, args.seed)
+    rho0 = _initial_state(args.state, s)
     grid = np.linspace(args.t_start, args.t_stop, args.t_count)
     curve = estimator.decay_curve(s, e_fix, rho0, grid)
     if args.out:

@@ -26,22 +26,13 @@ from .spectral import (
     SpectralDecomposition,
     SpectralSuperoperator,
     doi_apply,
-    eig_hermitian,
     matrix_log,
+    positive_eigs,
     require_hermitian,
 )
 
 STATE_TRACE_TOL = 1e-10
 FISHER_FORM_TOL = 1e-6
-
-
-def _positive_dec(a, what: str) -> SpectralDecomposition:
-    dec = eig_hermitian(a)
-    if dec.eigenvalues[0] <= POSITIVITY_FLOOR:
-        raise PositivityError(
-            f"{what}: eigenvalue {dec.eigenvalues[0]:.6e} at or below the "
-            f"positivity floor")
-    return dec
 
 
 def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -60,8 +51,8 @@ class RelEntropyResult:
 def lindblad_rel_entropy(rho, sigma) -> float:
     """D_Lin(rho||sigma) = tau(rho ln rho - rho ln sigma - rho + sigma) for
     strictly positive pairs; zero iff rho == sigma."""
-    dr = _positive_dec(rho, "lindblad_rel_entropy rho")
-    ds = _positive_dec(sigma, "lindblad_rel_entropy sigma")
+    dr = positive_eigs(rho, "lindblad_rel_entropy rho")
+    ds = positive_eigs(sigma, "lindblad_rel_entropy sigma")
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
     s = _overlap(dr.eigenvectors, ds.eigenvectors)
@@ -81,7 +72,7 @@ def rel_entropy(rho, sigma, support_tol: float = 1e-12) -> RelEntropyResult:
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
     n = rho.shape[0]
-    dr = _positive_dec(rho, "rel_entropy rho")
+    dr = positive_eigs(rho, "rel_entropy rho")
     ws, vs = np.linalg.eigh(sigma)
     if ws[-1] <= 0:
         return RelEntropyResult(finite=False, value=np.inf)
@@ -91,7 +82,7 @@ def rel_entropy(rho, sigma, support_tol: float = 1e-12) -> RelEntropyResult:
     if kernel_mass > support_tol * max(1.0, float(np.trace(rho).real)):
         return RelEntropyResult(finite=False, value=np.inf)
     q = ws[support]
-    s = np.abs(dr.eigenvectors.conj().T @ vs[:, support]) ** 2
+    s = _overlap(dr.eigenvectors, vs[:, support])
     p = dr.eigenvalues[:, None]
     d_lin = float((s * q[None, :] * bregman(p / q[None, :])).sum()) / n
     value = d_lin + (float(np.trace(rho).real) - float(ws.sum())) / n
@@ -116,8 +107,8 @@ def p_rel_entropy(rho, sigma, p: float) -> float:
     for p in (1, 2)."""
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
-    dr = _positive_dec(rho, "p_rel_entropy rho")
-    ds = _positive_dec(sigma, "p_rel_entropy sigma")
+    dr = positive_eigs(rho, "p_rel_entropy rho")
+    ds = positive_eigs(sigma, "p_rel_entropy sigma")
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
     s = _overlap(dr.eigenvectors, ds.eigenvectors)
@@ -137,6 +128,23 @@ def _centered_spectral_product(s: SpectralSuperoperator, rho_dec: SpectralDecomp
     return float(np.einsum("ij,ji->", a, g).real) / s.dim
 
 
+def _check_derivation_form(s: SpectralSuperoperator, rho, kernel: ScalarKernel,
+                           weight: float, value: float, what: str) -> None:
+    """When ``s`` carries generators, ``value`` must match the derivation
+    form weight * sum_k tau(d_k Q^rho(d_k)), d_k = i[a_k, rho], within
+    FISHER_FORM_TOL (internal-consistency error otherwise)."""
+    if not s.generators:
+        return
+    alt = 0.0
+    for a in s.generators:
+        d = 1j * (a @ rho - rho @ a)
+        alt += float(np.trace(d @ doi_apply(rho, rho, kernel, d)).real) / s.dim
+    alt *= weight
+    if abs(alt - value) > FISHER_FORM_TOL * max(1.0, abs(value)):
+        raise ConsistencyError(
+            f"{what} forms disagree: spectral {value!r} vs derivation {alt!r}")
+
+
 def fisher_lindblad(s: SpectralSuperoperator, rho) -> float:
     """Fisher information (entropy production) I(rho) = tau(S(rho) ln rho).
 
@@ -144,17 +152,9 @@ def fisher_lindblad(s: SpectralSuperoperator, rho) -> float:
     sum_k tau(d_k Q^rho(d_k)) with d_k = i[a_k, rho] is computed as well and
     the two must agree within 1e-6 (internal-consistency error otherwise).
     """
-    dec = _positive_dec(rho, "fisher_lindblad rho")
+    dec = positive_eigs(rho, "fisher_lindblad rho")
     value = _centered_spectral_product(s, dec, np.log(dec.eigenvalues))
-    if s.generators:
-        kernel = ScalarKernel.log_quotient()
-        alt = 0.0
-        for a in s.generators:
-            d = 1j * (a @ rho - rho @ a)
-            alt += float(np.trace(d @ doi_apply(rho, rho, kernel, d)).real) / s.dim
-        if abs(alt - value) > FISHER_FORM_TOL * max(1.0, abs(value)):
-            raise ConsistencyError(
-                f"Fisher forms disagree: spectral {value!r} vs derivation {alt!r}")
+    _check_derivation_form(s, rho, ScalarKernel.log_quotient(), 1.0, value, "Fisher")
     return value
 
 
@@ -164,17 +164,9 @@ def p_fisher(s: SpectralSuperoperator, rho, p: float) -> float:
     when generators are available."""
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
-    dec = _positive_dec(rho, "p_fisher rho")
+    dec = positive_eigs(rho, "p_fisher rho")
     value = p * _centered_spectral_product(s, dec, dec.eigenvalues ** (p - 1.0))
-    if s.generators:
-        kernel = ScalarKernel.power_quotient(p)
-        alt = 0.0
-        for a in s.generators:
-            d = 1j * (a @ rho - rho @ a)
-            alt += p * float(np.trace(d @ doi_apply(rho, rho, kernel, d)).real) / s.dim
-        if abs(alt - value) > FISHER_FORM_TOL * max(1.0, abs(value)):
-            raise ConsistencyError(
-                f"p-Fisher forms disagree: spectral {value!r} vs derivation {alt!r}")
+    _check_derivation_form(s, rho, ScalarKernel.power_quotient(p), p, value, "p-Fisher")
     return value
 
 
@@ -224,10 +216,10 @@ def entropy_graph(g: WeightedGraph, f, normalized: bool = False) -> float:
         if abs(mass - 1.0) > STATE_TRACE_TOL:
             raise ValueError(f"field flagged normalized has mass {mass!r}")
     xi = np.einsum("x,xij->ij", g.measure, blocks)
-    ds = _positive_dec(xi, "entropy_graph average")
+    ds = positive_eigs(xi, "entropy_graph average")
     total = 0.0
     for x in range(g.n):
-        dr = _positive_dec(blocks[x], f"entropy_graph block {x}")
+        dr = positive_eigs(blocks[x], f"entropy_graph block {x}")
         s = _overlap(dr.eigenvectors, ds.eigenvectors)
         p = dr.eigenvalues[:, None]
         q = ds.eigenvalues[None, :]

@@ -2,11 +2,13 @@
 and the sandwich harness that reconciles certified bounds with brute-force
 estimates.
 
-States are parametrized as rho(H) = n exp(H)/tr exp(H) over Hermitian H
-(strictly positive, unit normalized trace by construction), the local search
-is a deterministic Nelder-Mead, and restart r draws its start from a
-generator seeded with ``seed XOR r``.  Every reported value is the objective
-evaluated at the reported witness, hence a true upper bound on the infimum.
+States are parametrized by ``spectral.gibbs_state``, rho(H) = n exp(H)/tr exp(H)
+over Hermitian H (strictly positive, unit normalized trace by construction),
+the local search is a deterministic Nelder-Mead, and restart r draws its
+start from a generator seeded with ``seed XOR r``.  Every reported value is
+the objective evaluated at the reported witness, hence a true upper bound on
+the infimum.  Decay curves measure D(T_t rho0 || E rho0) with
+``entropy.lindblad_rel_entropy``, the routine the batteries check.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, serialize
+from . import _kernels, entropy, serialize
 from .exceptions import DegenerateStartError, NumericalIntegrityError
 from .graphs import WeightedGraph, certified_bound, graph_laplacian
 from .lindblad import ConditionalExpectation, fixed_point_dim, graph_lindblad
 from .spectral import (
     SpectralSuperoperator,
+    gibbs_state,
     semigroup_apply,
     spectral_gap,
     tensor_with_identity,
@@ -34,6 +37,12 @@ SANDWICH_BASE_SLACK = 1e-6
 DECAY_MONOTONE_TOL = 1e-10
 DECAY_VALUE_FLOOR = 1e-12
 GAP_SEED_SCALE = 1e-3
+# Nelder-Mead iteration budget per restart, the spread of a random start's
+# Gaussian parameters, and the draws a restart may spend to leave the
+# fixed-point manifold before it counts as degenerate.
+MAX_ITERS = 2000
+INIT_SCALE = 1.0
+RESAMPLE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -41,18 +50,15 @@ class EstimateOptions:
     restarts: int = 200
     seed: int = 0
     tol: float = 1e-8
-    max_iters: int = 2000
-    init_scale: float = 1.0
-    resample_limit: int = 10
 
     def to_json_dict(self) -> dict:
         return {
             "restarts": self.restarts,
             "seed": self.seed,
             "tol": self.tol,
-            "max_iters": self.max_iters,
-            "init_scale": self.init_scale,
-            "resample_limit": self.resample_limit,
+            "max_iters": MAX_ITERS,
+            "init_scale": INIT_SCALE,
+            "resample_limit": RESAMPLE_LIMIT,
         }
 
 
@@ -112,7 +118,7 @@ class EstimateReport:
 
 def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
                 step: float = 0.25, tol: float = 1e-8,
-                max_iters: int = 2000):
+                max_iters: int = MAX_ITERS):
     """Deterministic Nelder-Mead with the standard reflect/expand/contract/
     shrink moves; the running best value is monotone non-increasing and the
     search stops when the simplex f-spread falls below tol (relative) or the
@@ -172,14 +178,6 @@ def _expectation_matrix(e_fix, n: int) -> np.ndarray:
     return np.ascontiguousarray(mat)
 
 
-def _state_from_theta(theta: np.ndarray, n: int) -> np.ndarray:
-    h = _kernels.hermitian_from_params(theta, n)
-    w, u = np.linalg.eigh(h)
-    z = np.exp(w)
-    p = n * z / z.sum()
-    return (u * p) @ u.conj().T
-
-
 class _MatrixObjective:
     """Callable wrapper binding a superoperator and fixed-point projection
     to the MLSI or p-Sobolev ratio objective of ``_kernels``."""
@@ -203,7 +201,7 @@ class _MatrixObjective:
         return self.n * self.n
 
     def witness(self, theta: np.ndarray) -> np.ndarray:
-        return _state_from_theta(theta, self.n)
+        return gibbs_state(_kernels.hermitian_from_params(theta, self.n))
 
 
 class _ClassicalObjective:
@@ -245,8 +243,7 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
 
     def run_one(theta0):
         nonlocal best_value, best_theta
-        theta, value, _ = nelder_mead(objective, theta0, tol=opts.tol,
-                                      max_iters=opts.max_iters)
+        theta, value, _ = nelder_mead(objective, theta0, tol=opts.tol)
         per_restart.append(float(value))
         if value < best_value:
             best_value = value
@@ -260,8 +257,8 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
     for r in range(opts.restarts):
         rng = np.random.default_rng(np.uint64(opts.seed) ^ np.uint64(r))
         theta0 = None
-        for _ in range(opts.resample_limit):
-            cand = rng.normal(scale=opts.init_scale, size=dof)
+        for _ in range(RESAMPLE_LIMIT):
+            cand = rng.normal(scale=INIT_SCALE, size=dof)
             if np.isfinite(objective(cand)):
                 theta0 = cand
                 break
@@ -276,9 +273,9 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
             f"all {opts.restarts} restarts landed on the fixed-point manifold "
             f"({degenerate} never left it)")
 
-    ratio, fisher, entropy = objective.terms(best_theta)
+    ratio, fisher, divergence = objective.terms(best_theta)
     return EstimateReport(target=target, kind=kind, value=float(ratio),
-                          fisher=float(fisher), entropy=float(entropy),
+                          fisher=float(fisher), entropy=float(divergence),
                           witness=objective.witness(best_theta),
                           witness_theta=np.asarray(best_theta, dtype=float),
                           per_restart=per_restart,
@@ -377,19 +374,11 @@ class DecayCurve:
         return serialize.decay_csv(self.ts, self.values, self.log_values)
 
 
-def _entropy_against(rho, sigma_dec, n: int) -> float:
-    """D(rho || sigma) via the overlap Bregman form, sigma prediagonalized."""
-    w, u = np.linalg.eigh(rho)
-    w = np.clip(w, DECAY_VALUE_FLOOR * 1e-6, None)
-    mu, v = sigma_dec
-    overlap = np.abs(u.conj().T @ v) ** 2
-    return float((overlap * mu[None, :] * _kernels.bregman(w[:, None] / mu[None, :])).sum()) / n
-
-
 def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
     """Entropy decay rows (t, D(T_t rho0 || E rho0), ln D) and the
     least-squares rate of ln D (only points with D above the floor enter the
-    fit).  D must be non-increasing along the grid."""
+    fit).  D must be non-increasing along the grid, and every state on it
+    must clear the positivity floor of ``entropy.lindblad_rel_entropy``."""
     rho0 = np.asarray(rho0, dtype=complex)
     n = s.dim
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() <= 0:
@@ -398,26 +387,22 @@ def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
     sigma = unvec(e_mat @ vec(rho0), n)
     sigma = 0.5 * (sigma + sigma.conj().T)
     sigma *= n / np.trace(sigma).real
-    mu, v = np.linalg.eigh(sigma)
-    if mu.min() <= 0:
+    if np.linalg.eigvalsh(sigma).min() <= 0:
         raise NumericalIntegrityError("fixed-point projection is not positive")
-    sigma_dec = (mu, v)
 
     ts = np.asarray(t_grid, dtype=float)
     if len(ts) < 2 or np.any(np.diff(ts) <= 0):
         raise ValueError("t grid must be strictly increasing with >= 2 points")
     if ts[0] < 0:
         raise ValueError("t grid must be nonnegative")
-    d0 = _entropy_against(rho0, sigma_dec, n)
+    d0 = entropy.lindblad_rel_entropy(rho0, sigma)
     if d0 < DECAY_VALUE_FLOOR:
         raise DegenerateStartError(
             f"initial state is a fixed point (D = {d0:.3e})")
 
-    values = []
-    for t in ts:
-        rho_t = semigroup_apply(s, float(t), rho0)
-        values.append(_entropy_against(rho_t, sigma_dec, n))
-    values = np.asarray(values)
+    values = np.asarray([
+        entropy.lindblad_rel_entropy(semigroup_apply(s, float(t), rho0), sigma)
+        for t in ts])
     rises = np.diff(values)
     if np.any(rises > DECAY_MONOTONE_TOL):
         worst = float(rises.max())

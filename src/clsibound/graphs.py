@@ -174,10 +174,6 @@ class SpanningTree:
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def edge_total(self) -> int:
-        return len(self.edges)
-
     # number of edges l and max in-tree degree d of the certificate
     @property
     def l(self) -> int:  # noqa: E743 - matches the certificate field name
@@ -294,7 +290,7 @@ def traversal_cover(tree: SpanningTree, root: Optional[int] = None) -> CyclicCov
     walk(root, -1)
     assert seq[-1] == root
     seq = seq[:-1]  # the return to the root is the cycle wraparound
-    two_l = 2 * tree.edge_total
+    two_l = 2 * tree.l
     assert len(seq) == two_l
 
     m_vertex = np.zeros(tree.n, dtype=int)

@@ -12,7 +12,7 @@ module assumes ergodicity; kernels are always computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -229,12 +229,7 @@ def integer_spectrum_lindblad(x, tol: float = 1e-8) -> SpectralSuperoperator:
         raise ValueError(
             f"generator spectrum is {off:.3e} away from integers (tol {tol:.0e})")
     s = superop_from_generators([x], label="integer-spectrum")
-    return SpectralSuperoperator(dim=s.dim, matrix=s.matrix,
-                                 eigenvalues=s.eigenvalues,
-                                 eigenvectors=s.eigenvectors,
-                                 generators=s.generators,
-                                 certified_lower=SPHERE_TRANSFER_CONSTANT,
-                                 label=s.label)
+    return replace(s, certified_lower=SPHERE_TRANSFER_CONSTANT)
 
 
 def _embed_site(op: np.ndarray, site: int, sites: int) -> np.ndarray:

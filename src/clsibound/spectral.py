@@ -6,7 +6,9 @@ Conventions fixed here and used everywhere downstream:
 
 * vectorization is column-stacking, so the map ``rho -> A rho B`` is
   represented by ``kron(B.T, A)``;
-* the trace is the normalized one, ``ntrace(a) = tr(a)/n``;
+* the trace is the normalized one, ``tau(a) = tr(a)/n``;
+* a state built from a Hermitian h is ``gibbs_state(h) = n e^h / tr e^h``,
+  strictly positive with tau = 1;
 * eigenvalues below ``POSITIVITY_FLOOR`` are a hard error for ln and
   fractional powers -- callers regularize with ``rho + eps*I`` themselves.
 """
@@ -29,11 +31,6 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 KERNEL_EIG_TOL = 1e-9
 POSITIVITY_FLOOR = 1e-12
-
-
-def ntrace(a: np.ndarray) -> float:
-    """Normalized trace tr(a)/n (real part)."""
-    return float(np.trace(a).real) / a.shape[0]
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -78,7 +75,9 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def _positive_eigs(rho, what: str) -> SpectralDecomposition:
+def positive_eigs(rho, what: str) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix whose smallest eigenvalue
+    must clear ``POSITIVITY_FLOOR``; ``what`` names it in the error."""
     dec = eig_hermitian(rho)
     wmin = float(dec.eigenvalues[0])
     if wmin <= POSITIVITY_FLOOR:
@@ -86,6 +85,15 @@ def _positive_eigs(rho, what: str) -> SpectralDecomposition:
             f"{what}: eigenvalue {wmin:.6e} at or below the positivity "
             f"floor {POSITIVITY_FLOOR:.1e}")
     return dec
+
+
+def gibbs_state(h) -> np.ndarray:
+    """The state n e^h / tr e^h of a Hermitian matrix h."""
+    dec = eig_hermitian(h)
+    z = np.exp(dec.eigenvalues)
+    p = len(z) * z / z.sum()
+    u = dec.eigenvectors
+    return (u * p) @ u.conj().T
 
 
 def matrix_function(rho, fn: Callable[[np.ndarray], np.ndarray],
@@ -97,7 +105,7 @@ def matrix_function(rho, fn: Callable[[np.ndarray], np.ndarray],
     powers).
     """
     if require_positive:
-        dec = _positive_eigs(rho, "matrix_function")
+        dec = positive_eigs(rho, "matrix_function")
     else:
         dec = eig_hermitian(rho)
     values = np.asarray(fn(dec.eigenvalues), dtype=float)
@@ -166,11 +174,11 @@ def doi_apply(rho, sigma, kernel: ScalarKernel, t) -> np.ndarray:
     if rho.shape != sigma.shape or rho.shape != t.shape:
         raise ValueError(
             f"dimension mismatch: rho {rho.shape}, sigma {sigma.shape}, T {t.shape}")
-    dr = _positive_eigs(rho, "doi_apply rho")
+    dr = positive_eigs(rho, "doi_apply rho")
     if sigma is rho or np.array_equal(rho, sigma):
         ds = dr
     else:
-        ds = _positive_eigs(sigma, "doi_apply sigma")
+        ds = positive_eigs(sigma, "doi_apply sigma")
     k = kernel.matrix(dr.eigenvalues, ds.eigenvalues)
     u, v = dr.eigenvectors, ds.eigenvectors
     return u @ (k * (u.conj().T @ t @ v)) @ v.conj().T
@@ -180,8 +188,8 @@ def doi_superop_matrix(rho, sigma, kernel: ScalarKernel) -> np.ndarray:
     """The DOI as an n^2 x n^2 matrix on vectorized inputs:
     ``W diag(vec K) W*`` with ``W = conj(V) kron U`` (Hermitian, PSD for
     positive kernels)."""
-    dr = _positive_eigs(rho, "doi_superop rho")
-    ds = _positive_eigs(sigma, "doi_superop sigma")
+    dr = positive_eigs(rho, "doi_superop rho")
+    ds = positive_eigs(sigma, "doi_superop sigma")
     k = kernel.matrix(dr.eigenvalues, ds.eigenvalues)
     w = np.kron(ds.eigenvectors.conj(), dr.eigenvectors)
     return (w * vec(k.astype(complex))) @ w.conj().T
@@ -220,7 +228,7 @@ def quadrature_oracle_resolvent(rho, t, points: int = 64) -> np.ndarray:
     substitution r = tan(theta) and Gauss-Legendre nodes.  Uses explicit
     matrix inverses per node, not the spectral kernel."""
     rho = require_hermitian(rho, what="resolvent oracle rho")
-    _positive_eigs(rho, "resolvent oracle rho")
+    positive_eigs(rho, "resolvent oracle rho")
     t = np.asarray(t, dtype=complex)
     n = rho.shape[0]
     eye = np.eye(n)
@@ -241,7 +249,7 @@ def quadrature_oracle_resolvent(rho, t, points: int = 64) -> np.ndarray:
 def quadrature_oracle_tilt(rho, t, points: int = 64) -> np.ndarray:
     """Independent oracle for the tilt DOI:
     integral over r in (0, 1) of rho^r T rho^(1-r) dr."""
-    dec = _positive_eigs(rho, "tilt oracle rho")
+    dec = positive_eigs(rho, "tilt oracle rho")
     t = np.asarray(t, dtype=complex)
     u = dec.eigenvectors
     w = dec.eigenvalues

@@ -1,5 +1,7 @@
 """Every named verification battery must pass with its default settings."""
 
+import functools
+
 import pytest
 
 from clsibound import batteries
@@ -21,6 +23,39 @@ def test_run_batteries_trial_override():
     results = batteries.run_batteries(only="entropy-interpolation", trials=5)
     assert results[0].passed
     assert "5 pairs" in results[0].detail
+
+
+TAKES_TRIALS = {
+    "doi-identity", "quadrature", "entropy-interpolation", "doi-monotonicity",
+    "diagonal-entropy-comparison", "diagonal-fisher-monotone",
+    "pinching-p-sobolev", "p-limits", "fisher-forms", "fisher-derivative",
+    "semigroup", "expectations", "change-of-measure", "data-processing",
+    "iter-chain", "scaling", "expo-decay", "graph-bounds",
+}
+TAKES_DIMS = {"doi-identity", "quadrature"}
+
+
+def test_overrides_follow_battery_signatures(monkeypatch):
+    calls = {}
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def record(**kwargs):
+            calls[name] = kwargs
+            return batteries.BatteryResult(name, True, 0.0)
+        return record
+
+    for name, fn in list(batteries.REGISTRY.items()):
+        monkeypatch.setitem(batteries.REGISTRY, name, spy(name, fn))
+    batteries.run_batteries(trials=3, dims=4)
+    assert set(calls) == set(batteries.REGISTRY)
+    tuned = {name for name, kwargs in calls.items()
+             if kwargs.get("trials", kwargs.get("states")) == 3}
+    assert tuned == TAKES_TRIALS
+    assert {name for name, kwargs in calls.items() if "dims" in kwargs} == TAKES_DIMS
+    assert calls["doi-identity"]["dims"] == (2, 3, 4)
+    assert calls["diagonal-entropy-comparison"] == {"states": 3}
+    assert calls["constant-chain"] == {}
 
 
 def test_unknown_battery_rejected():

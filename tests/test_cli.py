@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from clsibound import cli
+from clsibound import batteries, cli, serialize
 
 Z4 = '{"n": 4, "edges": [[0,1],[1,2],[2,3],[0,3]]}'
 STAR = '{"n": 4, "edges": [[0,1],[0,2],[0,3]]}'
@@ -170,6 +170,34 @@ class TestDecay:
                 csv_path.read_text().strip().splitlines()[1:]]
         values = [float(r[1]) for r in rows]
         assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
+
+
+    @pytest.mark.parametrize("target, n", [("pauli", 2), ("depolarizing:3", 3)])
+    def test_random_state_is_batteries_random_state(self, monkeypatch, capsys,
+                                                    target, n):
+        seen = []
+        real = cli.estimator.decay_curve
+
+        def spy(s, e_fix, rho0, grid):
+            seen.append(rho0)
+            return real(s, e_fix, rho0, grid)
+
+        monkeypatch.setattr(cli.estimator, "decay_curve", spy)
+        code = cli.main(["decay", "--target", target, "--state", "random:5"])
+        capsys.readouterr()
+        assert code == 0
+        expected = batteries.random_state(np.random.default_rng(5), n)
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
+
+    def test_non_hermitian_state_file_exit_two(self, tmp_path, capsys):
+        rho = np.array([[1.0, 0.3], [0.0, 1.0]])
+        path = write(tmp_path, "rho.json", json.dumps(serialize.matrix_to_json(rho)))
+        code = cli.main(["decay", "--target", "pauli", "--state", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "not Hermitian" in lines[0]
 
 
 class TestVerify:

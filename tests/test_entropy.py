@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clsibound import entropy, lindblad
+from clsibound.batteries import random_state as rand_state
 from clsibound.exceptions import ConsistencyError, PositivityError
 from clsibound.graphs import make_graph
 from clsibound.spectral import superop_from_generators
@@ -15,14 +16,6 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 def rand_hermitian(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (a + a.conj().T)
-
-
-def rand_state(rng, n, scale=1.0):
-    h = rand_hermitian(rng, n) * scale
-    w, u = np.linalg.eigh(h)
-    p = np.exp(w)
-    p = n * p / p.sum()
-    return (u * p) @ u.conj().T
 
 
 class TestRelEntropy:

@@ -4,7 +4,7 @@ harness."""
 import numpy as np
 import pytest
 
-from clsibound import estimator, lindblad
+from clsibound import _kernels, batteries, estimator, lindblad, spectral
 from clsibound.estimator import (
     EstimateOptions,
     classical_mlsi_estimate,
@@ -87,6 +87,17 @@ class TestMlsiEstimate:
         w = np.linalg.eigvalsh(report.witness)
         assert w.min() > 0
         assert np.trace(report.witness).real == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("target, p", [("pauli", None), ("depolarizing:3", None),
+                                           ("pauli", 1.5)])
+    def test_witness_is_gibbs_state_of_theta(self, target, p):
+        s = pauli_system() if target == "pauli" else depolarizing(3)
+        e_fix = trace_expectation(s.dim)
+        opts = EstimateOptions(restarts=2, seed=3)
+        report = (mlsi_estimate(s, e_fix, opts) if p is None
+                  else cpsi_estimate(s, e_fix, p, opts))
+        h = _kernels.hermitian_from_params(report.witness_theta, s.dim)
+        assert np.array_equal(report.witness, spectral.gibbs_state(h))
 
     def test_report_json_schema(self):
         report = mlsi_estimate(pauli_system(), trace_expectation(2),
@@ -179,13 +190,8 @@ class TestDecayCurve:
 
     def test_certified_rate_envelope(self):
         # D(t) <= e^{-lambda_cert t} D(0) with lambda_cert = 2 for this system
-        rng = np.random.default_rng(0)
         s = pauli_system()
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = 0.5 * (h + h.conj().T)
-        w, u = np.linalg.eigh(h)
-        p = np.exp(w)
-        rho0 = (u * (2 * p / p.sum())) @ u.conj().T
+        rho0 = batteries.random_state(np.random.default_rng(0), 2)
         ts = np.linspace(0.0, 2.0, 9)
         curve = decay_curve(s, trace_expectation(2), rho0, ts)
         envelope = np.exp(-2.0 * ts) * curve.values[0]

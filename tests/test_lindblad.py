@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clsibound import lindblad
+from clsibound.batteries import random_state as rand_state
 from clsibound.graphs import make_graph
 from clsibound.lindblad import (
     PAULI_X,
@@ -25,15 +26,6 @@ from clsibound.lindblad import (
     trace_expectation,
 )
 from clsibound.spectral import spectral_gap, unvec, vec
-
-
-def rand_state(rng, n):
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = 0.5 * (h + h.conj().T)
-    w, u = np.linalg.eigh(h)
-    p = np.exp(w)
-    p = n * p / p.sum()
-    return (u * p) @ u.conj().T
 
 
 class TestEdgeGenerator:

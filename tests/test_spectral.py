@@ -10,6 +10,7 @@ from clsibound.spectral import (
     ScalarKernel,
     doi_apply,
     eig_hermitian,
+    gibbs_state,
     matrix_function,
     matrix_log,
     quadrature_oracle_resolvent,
@@ -56,6 +57,28 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestGibbsState:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_positive_state_of_trace_n(self, n):
+        rho = gibbs_state(rand_hermitian(np.random.default_rng(n), n))
+        assert np.trace(rho).real == pytest.approx(n, rel=1e-13)
+        assert np.linalg.eigvalsh(rho).min() > 0
+        assert np.abs(rho - rho.conj().T).max() < 1e-14
+
+    def test_invariant_under_identity_shift(self):
+        h = rand_hermitian(np.random.default_rng(4), 4)
+        np.testing.assert_allclose(gibbs_state(h + 3.7 * np.eye(4)), gibbs_state(h),
+                                   rtol=0, atol=1e-13)
+
+    def test_exponential_of_diagonal(self):
+        rho = gibbs_state(np.diag([0.0, np.log(3.0)]))
+        np.testing.assert_allclose(rho, np.diag([0.5, 1.5]), atol=1e-14)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NonHermitianError):
+            gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestMatrixFunction:
