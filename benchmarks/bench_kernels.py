@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels and check their values.
 
-Times each kernel per call, then checks every kernel value against an
+Times each kernel per call, the value-gradient kernels of the L-BFGS search
+next to the ratio objectives, then checks every kernel value against an
 independent evaluation: the ratio objectives against the ``entropy``
 functionals at the witness state, the DOI kernel matrix against its closed
-form.  Any relative disagreement above 1e-10 fails the run.
+form.  Any relative disagreement above 1e-10 fails the run, and so does a
+value-gradient ratio that is not the ratio objective's bit for bit.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -49,6 +51,7 @@ def main() -> int:
 
     timings = {}
     pairs = {}  # name -> (kernel values, reference values)
+    unequal = []  # value-gradient kernels whose ratio differs from *_terms
 
     x = np.linspace(0.1, 8.0, 64)
     timings["kernel_matrix(64x64)"] = timeit(
@@ -63,13 +66,25 @@ def main() -> int:
         closed.ravel())
 
     p = 1.5
-    for n in (2, 5):
+    for n in (2, 5, 8):
         theta, s, e = build_case(n, seed=n)
         eproj = e.superop_matrix()
-        timings[f"mlsi_terms(n={n})"] = timeit(
-            lambda: _kernels.mlsi_terms(theta, s.matrix, eproj, n), args.repeats)
-        timings[f"cpsi_terms(n={n}, p={p})"] = timeit(
-            lambda: _kernels.cpsi_terms(theta, s.matrix, eproj, n, p), args.repeats)
+        kernels = {
+            f"mlsi_terms(n={n})": lambda: _kernels.mlsi_terms(theta, s.matrix, eproj, n),
+            f"mlsi_value_grad(n={n})":
+                lambda: _kernels.mlsi_value_grad(theta, s.matrix, eproj, n),
+            f"cpsi_terms(n={n}, p={p})":
+                lambda: _kernels.cpsi_terms(theta, s.matrix, eproj, n, p),
+            f"cpsi_value_grad(n={n}, p={p})":
+                lambda: _kernels.cpsi_value_grad(theta, s.matrix, eproj, n, p),
+        }
+        for key, fn in kernels.items():
+            timings[key] = timeit(fn, args.repeats)
+        values = [fn()[0] for fn in kernels.values()]
+        if values[0] != values[1]:
+            unequal.append(f"mlsi(n={n})")
+        if values[2] != values[3]:
+            unequal.append(f"cpsi(n={n})")
         rho = estimator._MatrixObjective(s, e).witness(theta)
         sigma = e(rho)
         _, fisher, d = _kernels.mlsi_terms(theta, s.matrix, eproj, n)
@@ -99,10 +114,15 @@ def main() -> int:
         for a, b in zip(values, reference):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     print(f"max relative disagreement with the independent evaluation: {worst:.3e}")
+    failed = False
     if worst > GATE:
         print(f"ERROR: kernels disagree beyond {GATE:.0e}", file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    if unequal:
+        print(f"ERROR: value-gradient ratio differs from the ratio objective: "
+              f"{', '.join(unequal)}", file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

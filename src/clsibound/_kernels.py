@@ -1,9 +1,12 @@
-"""Hot numeric kernels: the DOI kernel matrix and the ratio objectives that
-the optimizer evaluates.
+"""Hot numeric kernels: the DOI kernel matrix, the ratio objectives that
+the optimizer evaluates, and the exact gradients of the matrix objectives.
 
 The ratio objectives are written with numpy broadcasting over eigenvalue
 pairs, and the Bregman helpers here are the ones the entropy functionals
 use too, so an objective and its independent functional share one formula.
+The gradients are built from the same eigendecompositions and the DOI
+kernel matrix (Daleckii-Krein divided differences), and return the
+objective's ratio bit for bit.
 The kernel matrix stays a plain loop: at the few-eigenvalue sizes of the
 DOI calls it is faster than the broadcast form.  Matrix products use
 ``ndarray.dot``, whose call overhead at these sizes is well under that of
@@ -76,13 +79,15 @@ def kernel_matrix(x, y, kind, p):
                 else:
                     out[i, j] = xi
             else:
+                r = d / yj
+                # ln(x/y); at x/y below ~1e-16, r rounds to -1 and log1p fails
+                lq = math.log1p(r) if r > -1.0 else math.log(xi) - math.log(yj)
                 if kind == KERNEL_LOG_QUOTIENT:
-                    out[i, j] = math.log1p(d / yj) / d
+                    out[i, j] = lq / d
                 elif kind == KERNEL_POWER_QUOTIENT:
-                    out[i, j] = (yj ** (p - 1.0)) * math.expm1(
-                        (p - 1.0) * math.log1p(d / yj)) / d
+                    out[i, j] = (yj ** (p - 1.0)) * math.expm1((p - 1.0) * lq) / d
                 else:
-                    out[i, j] = d / math.log1p(d / yj)
+                    out[i, j] = d / lq
     return out
 
 
@@ -127,9 +132,10 @@ def params_from_hermitian(h: np.ndarray) -> np.ndarray:
 def _state_and_expectation(theta, eproj, n):
     """Shared head of the matrix ratio objectives.
 
-    Returns (p, U, mu, overlap, vec_rho): eigenvalues/eigenvectors of rho,
-    eigenvalues of sigma = E(rho) (trace-renormalized), the overlap matrix
-    |<u_i|v_j>|^2, and vec(rho); None flags an excluded point.
+    Returns (p, U, mu, W, overlap, vec_rho): eigenvalues/eigenvectors of rho,
+    eigenvalues of sigma = E(rho) (trace-renormalized), the eigenvectors of
+    sigma in the eigenbasis of rho, W = U* V, the overlap matrix
+    |<u_i|v_j>|^2 = |W_ij|^2, and vec(rho); None flags an excluded point.
     """
     w, u = np.linalg.eigh(hermitian_from_params(theta, n))
     if max(w[n - 1], -w[0]) > H_CAP:  # eigh sorts w ascending
@@ -148,14 +154,33 @@ def _state_and_expectation(theta, eproj, n):
         return None
     ov = ud.dot(vmat)
     overlap = ov.real * ov.real + ov.imag * ov.imag
-    return p, u, mu, overlap, v
+    return p, u, mu, ov, overlap, v
 
 
-def _trace_against(superop, v, u, values):
-    # tr(A(rho) U diag(values) U*) with vec(A(rho)) = superop vec(rho): the
-    # column-stacked vec against the row-major ravel pairs a_ij with g_ji.
-    g = (u * values).dot(u.conj().T)
-    return superop.dot(v).dot(g.ravel()).real
+def _fisher_parts(theta, superop, eproj, n, p_exp):
+    """Body of the matrix ratio objectives: the (ratio, fisher, entropy)
+    triple, and at an included point the state and the pieces its gradient
+    reuses, (state, f, g, vec A(rho)) with f the shifted eigenvalues of
+    ln rho (p_exp None) or rho^(p-1), and g = U diag(f) U*."""
+    state = _state_and_expectation(theta, eproj, n)
+    if state is None:
+        return (np.inf, 0.0, 0.0), None
+    p, u, mu, _, overlap, v = state
+    if p_exp is None:
+        d = (overlap * mu * bregman(p[:, None] / mu)).sum() / n
+    else:
+        d = (overlap * bregman_power(p[:, None], mu, p_exp)).sum() / n
+    if d < ENTROPY_FLOOR:
+        return (np.inf, 0.0, d), None
+    f = np.log(p) if p_exp is None else p ** (p_exp - 1.0)
+    f -= f.sum() / n  # constant shift is traceless against A(rho)
+    # tr(A(rho) g) with vec(A(rho)) = superop vec(rho): the column-stacked
+    # vec against the row-major ravel pairs a_ij with g_ji.
+    g = (u * f).dot(u.conj().T)
+    av = superop.dot(v)
+    fisher = av.dot(g.ravel()).real
+    fisher = (fisher if p_exp is None else p_exp * fisher) / n
+    return (fisher / d, fisher, d), (state, f, g, av)
 
 
 def mlsi_terms(theta, superop, eproj, n):
@@ -164,38 +189,75 @@ def mlsi_terms(theta, superop, eproj, n):
     Returns (ratio, fisher, entropy); ratio is +inf on excluded points
     (spectral cap breach, broken expectation, entropy under the floor).
     """
-    state = _state_and_expectation(theta, eproj, n)
-    if state is None:
-        return (np.inf, 0.0, 0.0)
-    p, u, mu, overlap, v = state
-    d = (overlap * mu * bregman(p[:, None] / mu)).sum() / n
-    if d < ENTROPY_FLOOR:
-        return (np.inf, 0.0, d)
-    lw = np.log(p)
-    lw -= lw.sum() / n  # constant shift is traceless against A(rho)
-    fisher = _trace_against(superop, v, u, lw) / n
-    return (fisher / d, fisher, d)
+    return _fisher_parts(theta, superop, eproj, n, None)[0]
 
 
 def cpsi_terms(theta, superop, eproj, n, p_exp):
     """Objective for the p-ratio I^p(rho)/d^p(rho || E rho), p in (1,2)."""
-    state = _state_and_expectation(theta, eproj, n)
-    if state is None:
-        return (np.inf, 0.0, 0.0)
-    p, u, mu, overlap, v = state
-    d = (overlap * bregman_power(p[:, None], mu, p_exp)).sum() / n
-    if d < ENTROPY_FLOOR:
-        return (np.inf, 0.0, d)
-    rp = p ** (p_exp - 1.0)
-    rp -= rp.sum() / n
-    fisher = p_exp * _trace_against(superop, v, u, rp) / n
-    return (fisher / d, fisher, d)
+    return _fisher_parts(theta, superop, eproj, n, p_exp)[0]
+
+
+def _ratio_value_grad(theta, superop, eproj, n, p_exp):
+    """(ratio, gradient in theta) of the matrix ratio objective; (inf, 0) at
+    an excluded point.
+
+    With R = I/D, grad_rho R = (grad I - R grad D)/D, where, with A^T the
+    transpose of the superoperator and E a trace-preserving conditional
+    expectation (so that the sigma = E(rho) terms of grad D collapse),
+      MLSI:  n grad D = ln rho - ln sigma,
+             n grad I = A^T(ln rho) + D ln rho[A(rho)];
+      p:     n grad D = p (rho^(p-1) - sigma^(p-1)),
+             n grad I = p (A^T(rho^(p-1)) + D rho^(p-1)[A(rho)]).
+    In the eigenbasis U of rho, D ln rho and D rho^(p-1) act by the log- and
+    power-quotient kernels.  The chain rule through rho = n e^H/tr e^H
+    multiplies by the tilt kernel (the divided differences of exp on the
+    spectrum of H, rescaled) and removes the trace direction:
+    grad_H = U(K_tilt o U*GU)U* - rho tr(rho G)/n.
+    The tilt and log-quotient kernels multiply to 1, so the MLSI term
+    D ln rho[A(rho)] enters grad_H as U*A(rho)U itself.
+    """
+    (ratio, _, d), parts = _fisher_parts(theta, superop, eproj, n, p_exp)
+    if parts is None:
+        return (np.inf, 0.0)
+    (p, u, mu, ov, _, _), f, g, av = parts
+    ud = u.conj().T
+    a = ud.dot(av.reshape(n, n).T).dot(u)  # U* A(rho) U
+    # pre: U* (n D grad_rho R) U without the D f(rho)[A(rho)] term
+    pre = ud.dot(superop.T.dot(g.ravel()).reshape(n, n)).dot(u)
+    f_sigma = np.log(mu) if p_exp is None else mu ** (p_exp - 1.0)
+    pre += ratio * (ov * f_sigma).dot(ov.conj().T)
+    pre[np.diag_indices(n)] -= ratio * f
+    tilt = kernel_matrix(p, p, KERNEL_TILT, 0.0)
+    if p_exp is None:
+        t = tilt * pre + a
+    else:
+        pre += kernel_matrix(p, p, KERNEL_POWER_QUOTIENT, p_exp) * a
+        t = tilt * (p_exp * pre)
+    t[np.diag_indices(n)] -= p * (t.trace() / n)  # tr(rho G) = tr(t)
+    gh = u.dot(t / (n * d)).dot(ud)
+    # H.ravel() = dec theta, so d/dtheta tr(G_H dH) = vec_rowmajor(G_H^T) dec
+    return (ratio, gh.T.ravel().dot(_decoder(n)).real)
+
+
+def mlsi_value_grad(theta, superop, eproj, n):
+    """(ratio, gradient in theta) of :func:`mlsi_terms`; the ratio is the
+    one ``mlsi_terms`` returns, bit for bit."""
+    return _ratio_value_grad(theta, superop, eproj, n, None)
+
+
+def cpsi_value_grad(theta, superop, eproj, n, p_exp):
+    """(ratio, gradient in theta) of :func:`cpsi_terms`; the ratio is the
+    one ``cpsi_terms`` returns, bit for bit."""
+    return _ratio_value_grad(theta, superop, eproj, n, p_exp)
 
 
 def classical_terms(theta, mu, incidence, edge_c):
     """Objective for the classical graph ratio over positive vertex functions
     f = exp(theta); the ratio is scale invariant so no normalization is
-    applied.
+    applied.  The entropy floor is applied to D(f/xi) = D(f)/xi, xi = mu.f,
+    the entropy of the normalized function, so which points are excluded
+    does not depend on the scale of f either; on the diagonal embedding it
+    is the matrix objectives' floor.
 
     ``incidence`` is the signed edge-vertex matrix (-1 at u, +1 at v per
     edge (u, v)) and ``edge_c`` holds w_uv (mu(u) + mu(v)) per edge.  Each
@@ -206,8 +268,9 @@ def classical_terms(theta, mu, incidence, edge_c):
         return (np.inf, 0.0, 0.0)
     f = np.exp(theta)
     xi = mu.dot(f)
-    d = xi * mu.dot(bregman(f / xi))
-    if d < ENTROPY_FLOOR:
+    d_unit = mu.dot(bregman(f / xi))
+    d = xi * d_unit
+    if d_unit < ENTROPY_FLOOR:
         return (np.inf, 0.0, d)
     fisher = edge_c.dot(incidence.dot(f) * incidence.dot(theta))
     return (fisher / d, fisher, d)

@@ -12,6 +12,7 @@ from clsibound.estimator import (
     cpsi_estimate,
     decay_curve,
     evaluate_ratio,
+    lbfgs,
     mlsi_estimate,
     nelder_mead,
     sandwich_check,
@@ -52,6 +53,56 @@ class TestNelderMead:
         nelder_mead(fn, np.array([2.0, -1.0, 0.5]), tol=1e-10, max_iters=200)
         running = np.minimum.accumulate(values)
         assert np.all(np.diff(running) <= 0)
+
+
+def accepted_values(calls, x_final):
+    """The f values lbfgs accepted, read off its log of (x, f) evaluations:
+    a rejected trial is followed by the trial at half its step from the same
+    point, and the last trial was accepted if it is the returned point."""
+    base_x, accepted = calls[0][0], [calls[0][1]]
+    for k, (x, f) in enumerate(calls[1:], start=1):
+        if k + 1 < len(calls):
+            rejected = np.allclose(calls[k + 1][0] - base_x, 0.5 * (x - base_x),
+                                   rtol=1e-12, atol=1e-15)
+        else:
+            rejected = not np.array_equal(x, x_final)
+        if not rejected:
+            base_x = x
+            accepted.append(f)
+    return accepted
+
+
+class TestLbfgs:
+    def test_quadratic_minimum(self):
+        fn_grad = lambda x: (float((x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2),
+                             np.array([2.0 * (x[0] - 1.0), 4.0 * (x[1] + 0.5)]))
+        x, fx, nfev = lbfgs(fn_grad, np.array([3.0, 3.0]))
+        np.testing.assert_allclose(x, [1.0, -0.5], atol=1e-6)
+        assert fx < 1e-12 and nfev > 0
+
+    def test_handles_infinite_regions(self):
+        # the first steps overshoot into the excluded region |x| >= 10
+        fn_grad = lambda x: ((float(x[0] ** 2), 2.0 * x) if abs(x[0]) < 10
+                             else (np.inf, 0.0))
+        x, fx, _ = lbfgs(fn_grad, np.array([8.0]))
+        assert fx < 1e-10
+
+    def test_accepted_values_decrease(self):
+        calls = []
+
+        def fn_grad(x):  # Rosenbrock: the line search backtracks on it
+            f = float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+            g = np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+                          200.0 * (x[1] - x[0] ** 2)])
+            calls.append((x.copy(), f))
+            return f, g
+
+        x, fx, nfev = lbfgs(fn_grad, np.array([-1.2, 1.0]), max_iters=200)
+        assert nfev == len(calls)
+        accepted = accepted_values(calls, x)
+        assert accepted[-1] == fx
+        assert len(accepted) < len(calls)  # some trials were rejected
+        assert np.all(np.diff(accepted) < 0)
 
 
 class TestMlsiEstimate:
@@ -107,6 +158,15 @@ class TestMlsiEstimate:
         assert doc["seed"] == 1
         assert doc["options"]["restarts"] == 3
         assert len(doc["per_restart"]) == 3
+
+    def test_c5_restarts_converge(self):
+        # the quasi-Newton search reaches one minimum from most random starts
+        s = lindblad.graph_lindblad(make_graph(5, [(i, (i + 1) % 5) for i in range(5)]))
+        report = mlsi_estimate(s, fixed_point_dim(s).expectation,
+                               EstimateOptions(restarts=12, seed=3))
+        assert report.value <= 3.9844
+        agree = [abs(v - report.value) <= 1e-6 for v in report.per_restart]
+        assert len(agree) == 12 and sum(agree) >= 10
 
 
 class TestCpsiEstimate:

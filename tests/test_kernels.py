@@ -1,6 +1,6 @@
 """Hot kernels: the ratio objectives agree with the independent entropy
-and Fisher functionals; DOI kernel values; parameter encoding round-trips;
-objective guards."""
+and Fisher functionals; their gradients agree with central differences; DOI
+kernel values; parameter encoding round-trips; objective guards."""
 
 import numpy as np
 import pytest
@@ -64,6 +64,46 @@ class TestObjectiveParity:
             assert ratio == fisher / d
 
 
+GRAD_STEP = 1e-6
+GRAD_REL = 1e-6
+
+
+def gradient_system(name):
+    """(superoperator, expectation projection, dimension) of a named system."""
+    if name == "pauli":
+        s, e = lindblad.pauli_system(), lindblad.trace_expectation(2)
+    elif name == "depolarizing:3":
+        s, e = lindblad.depolarizing(3), lindblad.trace_expectation(3)
+    else:
+        s, e = cycle_system(5)
+    return np.ascontiguousarray(s.matrix, dtype=complex), e.superop_matrix(), s.dim
+
+
+class TestValueGrad:
+    @pytest.mark.parametrize("p", [None, 1.5])
+    @pytest.mark.parametrize("name", ["pauli", "depolarizing:3", "C5"])
+    def test_gradient_matches_central_differences(self, name, p):
+        superop, eproj, n = gradient_system(name)
+        if p is None:
+            terms = lambda t: _kernels.mlsi_terms(t, superop, eproj, n)
+            value_grad = lambda t: _kernels.mlsi_value_grad(t, superop, eproj, n)
+        else:
+            terms = lambda t: _kernels.cpsi_terms(t, superop, eproj, n, p)
+            value_grad = lambda t: _kernels.cpsi_value_grad(t, superop, eproj, n, p)
+        for theta in interior_thetas(n, seed=30 + n):
+            ratio, grad = value_grad(theta)
+            assert ratio == terms(theta)[0]
+            central = np.array([
+                (terms(theta + GRAD_STEP * e)[0] - terms(theta - GRAD_STEP * e)[0])
+                / (2.0 * GRAD_STEP) for e in np.eye(n * n)])
+            assert np.abs(grad - central).max() <= GRAD_REL * np.abs(central).max()
+
+    def test_excluded_point(self):
+        superop, eproj, n = gradient_system("pauli")
+        assert _kernels.mlsi_value_grad(np.zeros(4), superop, eproj, n) == (np.inf, 0.0)
+        assert _kernels.cpsi_value_grad(np.zeros(4), superop, eproj, n, 1.5) == (np.inf, 0.0)
+
+
 class TestKernelMatrix:
     def test_log_quotient_values(self):
         k = _kernels.kernel_matrix(np.array([1.0, 4.0]), np.array([1.0, 4.0]),
@@ -85,6 +125,22 @@ class TestKernelMatrix:
         k = _kernels.kernel_matrix(np.array([x]), np.array([y]),
                                    _kernels.KERNEL_POWER_QUOTIENT, p)
         assert k[0, 0] == pytest.approx((x ** (p - 1) - y ** (p - 1)) / (x - y))
+
+    @pytest.mark.parametrize("kind", [_kernels.KERNEL_LOG_QUOTIENT,
+                                      _kernels.KERNEL_POWER_QUOTIENT,
+                                      _kernels.KERNEL_TILT])
+    def test_wide_ratio_matches_closed_form(self, kind):
+        # at x/y ~ 1e-17, x - y rounds to -y and log1p((x - y)/y) is log1p(-1)
+        p = 1.5
+        x, y = 1e-17, 1.0
+        closed = {
+            _kernels.KERNEL_LOG_QUOTIENT: (np.log(x) - np.log(y)) / (x - y),
+            _kernels.KERNEL_POWER_QUOTIENT: (x ** (p - 1.0) - y ** (p - 1.0)) / (x - y),
+            _kernels.KERNEL_TILT: (x - y) / (np.log(x) - np.log(y)),
+        }[kind]
+        k = _kernels.kernel_matrix(np.array([x, y]), np.array([x, y]), kind, p)
+        assert k[0, 1] == pytest.approx(closed, rel=1e-12)
+        assert k[1, 0] == pytest.approx(closed, rel=1e-12)
 
     def test_near_diagonal_uses_derivative(self):
         x = np.array([2.0])
@@ -143,6 +199,19 @@ class TestObjectiveGuards:
         superop, eproj, n = self._setup()
         ratio, _, _ = _kernels.mlsi_terms(np.zeros(4), superop, eproj, n)
         assert np.isinf(ratio)
+
+    def test_classical_exclusion_is_shift_invariant(self):
+        # theta + c scales f and D(f) by e^c but leaves the ratio unchanged,
+        # so it must not move a point across the entropy floor
+        objective = estimator._ClassicalObjective(
+            make_graph(5, [(i, (i + 1) % 5) for i in range(5)]))
+        direction = np.array([1.2, -0.3, 0.0, 0.5, -1.1])
+        near = objective.terms(1.6e-5 * direction)[0]
+        beyond = objective.terms(4.8e-5 * direction)[0]
+        assert np.isinf(near) and np.isfinite(beyond)
+        for c in (-3.0, 0.5, 7.0):
+            assert np.isinf(objective.terms(1.6e-5 * direction + c)[0])
+            assert objective.terms(4.8e-5 * direction + c)[0] == pytest.approx(beyond, rel=1e-9)
 
     def test_interior_point_finite(self):
         superop, eproj, n = self._setup()
