@@ -217,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help="classical Nelder-Mead tolerance and the slack of "
+                            "the ordering checks; the matrix L-BFGS search "
+                            "uses fixed stopping constants")
 
     p_bound = sub.add_parser("bound", help="certified bounds for a graph")
     common(p_bound, graph_required=True)

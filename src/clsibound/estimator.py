@@ -7,8 +7,9 @@ over Hermitian H (strictly positive, unit normalized trace by construction),
 the local search is a deterministic L-BFGS on the exact gradient of the
 matrix objectives and a deterministic Nelder-Mead on the classical one, and
 restart r draws its start from a generator seeded with ``seed XOR r``.  Every
-reported value, per restart and best, is the objective re-evaluated at its
-parameters, hence a true upper bound on the infimum.  Decay curves measure
+reported value, per restart and best, is the ratio objective at its
+parameters (the value-gradient kernels return the ``*_terms`` ratio bit for
+bit), hence a true upper bound on the infimum.  Decay curves measure
 D(T_t rho0 || E rho0) with ``entropy.lindblad_rel_entropy``, the routine the
 batteries check.
 """
@@ -177,8 +178,7 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     return xs[best], fs[best], nfev
 
 
-def lbfgs(fn_grad: Callable[[np.ndarray], tuple], x0: np.ndarray,
-          max_iters: int = MAX_ITERS):
+def lbfgs(fn_grad: Callable[[np.ndarray], tuple], x0: np.ndarray):
     """Deterministic limited-memory BFGS (two-loop recursion, Liu-Nocedal)
     with Armijo backtracking.
 
@@ -186,18 +186,18 @@ def lbfgs(fn_grad: Callable[[np.ndarray], tuple], x0: np.ndarray,
     point, which the line search rejects like an insufficient decrease.
     While no curvature pair is kept the step is min(1, 1/|g|) along -g;
     otherwise it starts at 1 along the quasi-Newton direction scaled by
-    s.y/y.y.  Pairs with s.y <= 0 are not kept.  Every accepted f is below the last.  The search stops when the
-    relative decrease of f falls to REL_DECREASE_TOL, the gradient norm to
-    GRAD_TOL, no step passes the line search, the direction stops being a
-    descent direction, or the iteration budget runs out.  Returns (x_best,
-    f_best, evaluations)."""
+    s.y/y.y.  Pairs with s.y <= 0 are not kept.  Every accepted f is below
+    the last.  The search stops when the relative decrease of f falls to
+    REL_DECREASE_TOL, the gradient norm to GRAD_TOL, no step passes the line
+    search, the direction stops being a descent direction, or MAX_ITERS
+    iterations have run.  Returns (x_best, f_best, evaluations)."""
     x = np.array(x0, dtype=float)
     f, g = fn_grad(x)
     nfev = 1
     if not math.isfinite(f):
         return x, f, nfev
     pairs = []  # (s, y, 1/s.y), oldest first
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         gnorm = math.sqrt(g.dot(g))
         if gnorm <= GRAD_TOL:
             break
@@ -323,10 +323,9 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
     def run_one(theta0):
         nonlocal best_value, best_theta
         if isinstance(objective, _MatrixObjective):
-            theta, _, _ = lbfgs(objective.value_grad, theta0)
+            theta, value, _ = lbfgs(objective.value_grad, theta0)
         else:
-            theta, _, _ = nelder_mead(objective, theta0, tol=opts.tol)
-        value = objective(theta)
+            theta, value, _ = nelder_mead(objective, theta0, tol=opts.tol)
         per_restart.append(float(value))
         if value < best_value:
             best_value = value
