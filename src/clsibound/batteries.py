@@ -31,7 +31,8 @@ class BatteryResult:
         return f"{self.name}: {verdict} (max residual {self.max_residual:.3e}){extra}"
 
 
-def _rand_hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
+    """Gaussian Hermitian matrix (a + a*)/2 scaled by ``scale``."""
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * 0.5 * (a + a.conj().T)
 
@@ -51,7 +52,7 @@ def _rand_positive(rng, n: int, lo: float = 0.05, hi: float = 20.0) -> np.ndarra
 def random_state(rng, n: int, scale: float = 1.0) -> np.ndarray:
     """Gibbs state of a Gaussian Hermitian matrix: the ``random:SEED``
     initial state of ``clsibound decay`` and the batteries' random state."""
-    return spectral.gibbs_state(_rand_hermitian(rng, n, scale))
+    return spectral.gibbs_state(random_hermitian(rng, n, scale))
 
 
 def _rand_cptp_kraus(rng, n: int, count: int) -> list:
@@ -99,16 +100,16 @@ def battery_doi_identity(trials: int = 100, dims=(2, 3, 4, 5), seed: int = 11) -
     for trial in range(trials):
         n = dims[trial % len(dims)]
         rho = _rand_positive(rng, n, 0.05, 20.0)
-        x = _rand_hermitian(rng, n)
+        x = random_hermitian(rng, n)
         delta_rho = x @ rho - rho @ x
         lhs = x @ spectral.matrix_log(rho) - spectral.matrix_log(rho) @ x
         rhs = spectral.doi_apply(rho, rho, kernel, delta_rho)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
         for kern in (kernel, ScalarKernel.tilt(), ScalarKernel.power_quotient(1.5)):
-            t = _rand_hermitian(rng, n)
+            t = random_hermitian(rng, n)
             q = spectral.doi_apply(rho, rho, kern, t)
             worst = max(worst, float(np.abs(q - q.conj().T).max()))
-            t2 = _rand_hermitian(rng, n)
+            t2 = random_hermitian(rng, n)
             a, b = rng.normal(size=2)
             combo = spectral.doi_apply(rho, rho, kern, a * t + b * t2)
             split = a * q + b * spectral.doi_apply(rho, rho, kern, t2)
@@ -125,7 +126,7 @@ def battery_quadrature(trials: int = 100, dims=(2, 3, 4, 5), seed: int = 12) -> 
     for trial in range(trials):
         n = dims[trial % len(dims)]
         rho = _rand_positive(rng, n, 0.05, 20.0)
-        t = _rand_hermitian(rng, n)
+        t = random_hermitian(rng, n)
         if trial % 2 == 0:
             oracle = spectral.quadrature_oracle_resolvent(rho, t, 64)
             direct = spectral.doi_apply(rho, rho, ScalarKernel.log_quotient(), t)
@@ -292,15 +293,11 @@ def battery_fisher_forms(trials: int = 50, seed: int = 20) -> BatteryResult:
     worst = 0.0
     for trial in range(trials):
         n = int(rng.integers(2, 5))
-        gens = [_rand_hermitian(rng, n) for _ in range(int(rng.integers(1, 4)))]
+        gens = [random_hermitian(rng, n) for _ in range(int(rng.integers(1, 4)))]
         s = spectral.superop_from_generators(gens)
         rho = random_state(rng, n)
         spectral_form = entropy.fisher_lindblad(s, rho)
-        derivation_form = 0.0
-        for a in s.generators:
-            d = 1j * (a @ rho - rho @ a)
-            derivation_form += float(np.trace(
-                d @ spectral.doi_apply(rho, rho, kernel, d)).real) / n
+        derivation_form = spectral.derivation_form(s.generators, rho, rho, kernel)
         worst = max(worst, abs(spectral_form - derivation_form)
                     / max(1.0, abs(spectral_form)))
     return BatteryResult("fisher-forms", worst <= 1e-8, worst, f"{trials} trials")
@@ -314,7 +311,7 @@ def battery_fisher_derivative(trials: int = 50, seed: int = 21,
     worst = 0.0
     for trial in range(trials):
         n = int(rng.integers(2, 5))
-        gens = [_rand_hermitian(rng, n) for _ in range(int(rng.integers(1, 3)))]
+        gens = [random_hermitian(rng, n) for _ in range(int(rng.integers(1, 3)))]
         s = spectral.superop_from_generators(gens)
         e_fix = lindblad.fixed_point_dim(s).expectation
         # cushion away from the spectrum edge: the -h propagation is
@@ -352,7 +349,7 @@ def battery_gradient_estimate(seed: int = 22) -> BatteryResult:
     inflated_violated = False
     for _ in range(5):
         rho = random_state(rng, 2)
-        a = _rand_hermitian(rng, 2)
+        a = random_hermitian(rng, 2)
         good = lindblad.gradient_estimate_check(gens, 1.0, rho, a, grid)
         worst = max(worst, good.worst)
         bad = lindblad.gradient_estimate_check(gens, 5.0, rho, a, grid)
@@ -393,7 +390,7 @@ def battery_semigroup(trials: int = 30, seed: int = 24) -> BatteryResult:
     worst = 0.0
     for trial in range(trials):
         n = int(rng.integers(2, 5))
-        gens = [_rand_hermitian(rng, n) for _ in range(int(rng.integers(1, 3)))]
+        gens = [random_hermitian(rng, n) for _ in range(int(rng.integers(1, 3)))]
         s = spectral.superop_from_generators(gens)
         worst = max(worst, float(np.abs(s.matrix - s.matrix.conj().T).max()))
         worst = max(worst, float(np.abs(s.matrix @ spectral.vec(np.eye(n))).max()))
@@ -432,7 +429,7 @@ def battery_expectations(trials: int = 25, seed: int = 25) -> BatteryResult:
             worst = max(worst, abs(np.trace(once).real - np.trace(rho).real))
             herm = 0.5 * (once + once.conj().T)
             worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(herm).min())))
-            other = _rand_hermitian(rng, n)
+            other = random_hermitian(rng, n)
             lhs = np.trace(e(rho).conj().T @ other)
             rhs = np.trace(rho.conj().T @ e(other))
             worst = max(worst, abs(lhs - rhs) / n)

@@ -151,7 +151,7 @@ def cmd_estimate(args) -> int:
     if args.out:
         serialize.atomic_write_text(args.out, report.to_json())
         _err(f"report written to {args.out}")
-    slack = 1e-6 + opts.tol
+    slack = estimator.SANDWICH_BASE_SLACK + opts.tol
     if report.value > 2.0 * gap + slack and args.m <= 1 and args.p is None:
         _err(f"ordering violated: estimate<=2*gap "
              f"({report.value!r} > {2.0 * gap!r} + slack)")

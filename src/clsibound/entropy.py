@@ -1,30 +1,36 @@
 """Entropy and Fisher-information functionals, classical (graph) and quantum
 (matrix), with their p-variants.
 
-All quantum functionals use the normalized trace tau = tr/n.  Relative
-entropies are evaluated through the eigenbasis-overlap Bregman form
+All quantum functionals use the normalized trace tau = tr/n.  Every
+relative entropy here (D_Lin, the support part of D, d^p and the graph
+entropy) is one eigenbasis-overlap Bregman sum, ``_overlap_entropy``:
 
     D_Lin(rho||sigma) = (1/n) sum_ij S_ij q_j h(p_i / q_j),
     h(r) = r ln r - r + 1,   S_ij = |<u_i|v_j>|^2,
 
-a sum of nonnegative terms, so values stay accurate even at 1e-12 scale
-(important for ratio minimization near the fixed-point manifold).
+with the power Bregman term in place of q_j h(p_i / q_j) for d^p.  It is a
+sum of nonnegative terms, so values stay accurate even at 1e-12 scale
+(important for ratio minimization near the fixed-point manifold).  The
+Fisher informations are cross-checked against ``spectral.derivation_form``
+when the generator carries its a_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from ._kernels import bregman, bregman_power
-from .exceptions import ConsistencyError, PositivityError
+from .exceptions import ConsistencyError
 from .graphs import WeightedGraph
 from .spectral import (
     POSITIVITY_FLOOR,
     ScalarKernel,
     SpectralDecomposition,
     SpectralSuperoperator,
+    derivation_form,
     doi_apply,
     matrix_log,
     positive_eigs,
@@ -35,8 +41,16 @@ STATE_TRACE_TOL = 1e-10
 FISHER_FORM_TOL = 1e-6
 
 
-def _overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.abs(u.conj().T @ v) ** 2
+def _overlap_entropy(dr: SpectralDecomposition, ds: SpectralDecomposition,
+                     p: Optional[float] = None) -> float:
+    """(1/n) sum_ij S_ij b(p_i, q_j) over the eigenpairs dr of rho and ds of
+    sigma, n = dim rho: b(x, y) = y h(x / y), or the power Bregman term of
+    order ``p``.  ds may hold only the support of sigma."""
+    s = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    pv = dr.eigenvalues[:, None]
+    qv = ds.eigenvalues[None, :]
+    terms = s * qv * bregman(pv / qv) if p is None else s * bregman_power(pv, qv, p)
+    return float(terms.sum()) / len(dr.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -55,10 +69,7 @@ def lindblad_rel_entropy(rho, sigma) -> float:
     ds = positive_eigs(sigma, "lindblad_rel_entropy sigma")
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    s = _overlap(dr.eigenvectors, ds.eigenvectors)
-    p = dr.eigenvalues[:, None]
-    q = ds.eigenvalues[None, :]
-    return float((s * q * bregman(p / q)).sum()) / rho.shape[0]
+    return _overlap_entropy(dr, ds)
 
 
 def rel_entropy(rho, sigma, support_tol: float = 1e-12) -> RelEntropyResult:
@@ -81,10 +92,7 @@ def rel_entropy(rho, sigma, support_tol: float = 1e-12) -> RelEntropyResult:
         "ji,jk,ki->", vs[:, ~support].conj(), rho, vs[:, ~support]).real)
     if kernel_mass > support_tol * max(1.0, float(np.trace(rho).real)):
         return RelEntropyResult(finite=False, value=np.inf)
-    q = ws[support]
-    s = _overlap(dr.eigenvectors, vs[:, support])
-    p = dr.eigenvalues[:, None]
-    d_lin = float((s * q[None, :] * bregman(p / q[None, :])).sum()) / n
+    d_lin = _overlap_entropy(dr, SpectralDecomposition(ws[support], vs[:, support]))
     value = d_lin + (float(np.trace(rho).real) - float(ws.sum())) / n
     return RelEntropyResult(finite=True, value=value)
 
@@ -111,10 +119,7 @@ def p_rel_entropy(rho, sigma, p: float) -> float:
     ds = positive_eigs(sigma, "p_rel_entropy sigma")
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    s = _overlap(dr.eigenvectors, ds.eigenvectors)
-    pv = dr.eigenvalues[:, None]
-    qv = ds.eigenvalues[None, :]
-    return float((s * bregman_power(pv, qv, p)).sum()) / rho.shape[0]
+    return _overlap_entropy(dr, ds, p)
 
 
 def _centered_spectral_product(s: SpectralSuperoperator, rho_dec: SpectralDecomposition,
@@ -135,11 +140,7 @@ def _check_derivation_form(s: SpectralSuperoperator, rho, kernel: ScalarKernel,
     FISHER_FORM_TOL (internal-consistency error otherwise)."""
     if not s.generators:
         return
-    alt = 0.0
-    for a in s.generators:
-        d = 1j * (a @ rho - rho @ a)
-        alt += float(np.trace(d @ doi_apply(rho, rho, kernel, d)).real) / s.dim
-    alt *= weight
+    alt = weight * derivation_form(s.generators, rho, rho, kernel)
     if abs(alt - value) > FISHER_FORM_TOL * max(1.0, abs(value)):
         raise ConsistencyError(
             f"{what} forms disagree: spectral {value!r} vs derivation {alt!r}")
@@ -170,9 +171,9 @@ def p_fisher(s: SpectralSuperoperator, rho, p: float) -> float:
     return value
 
 
-def _field_blocks(g: WeightedGraph, f) -> np.ndarray:
-    """Normalize a vertex field to shape (n, m, m); scalars become 1x1
-    blocks."""
+def _field_blocks(g: WeightedGraph, f):
+    """Normalize a vertex field to shape (n, m, m), scalars becoming 1x1
+    blocks, and return it with each block's positive eigendecomposition."""
     arr = np.asarray(f)
     if arr.shape == (g.n,):
         arr = arr.reshape(g.n, 1, 1).astype(complex)
@@ -181,21 +182,17 @@ def _field_blocks(g: WeightedGraph, f) -> np.ndarray:
     else:
         raise ValueError(
             f"field must have shape ({g.n},) or ({g.n}, m, m), got {arr.shape}")
-    for x in range(g.n):
-        w = np.linalg.eigvalsh(require_hermitian(arr[x], what=f"field block {x}"))
-        if w[0] <= POSITIVITY_FLOOR:
-            raise PositivityError(
-                f"field block {x} min eigenvalue {w[0]:.6e} not positive")
-    return arr
+    return arr, [positive_eigs(arr[x], f"field block {x}") for x in range(g.n)]
 
 
 def fisher_graph(g: WeightedGraph, f) -> float:
     """Edge Fisher information of a positive vertex field:
     sum_x mu(x) sum_{y ~ x} w_yx tau((f(y)-f(x))(ln f(y)-ln f(x))),
     ordered pairs counted from both endpoints."""
-    blocks = _field_blocks(g, f)
+    blocks, decs = _field_blocks(g, f)
     m = blocks.shape[1]
-    logs = [matrix_log(blocks[x]) for x in range(g.n)]
+    logs = [(d.eigenvectors * np.log(d.eigenvalues)) @ d.eigenvectors.conj().T
+            for d in decs]
     total = 0.0
     for u, v, w in g.edges:
         df = blocks[v] - blocks[u]
@@ -208,7 +205,7 @@ def fisher_graph(g: WeightedGraph, f) -> float:
 def entropy_graph(g: WeightedGraph, f, normalized: bool = False) -> float:
     """Relative entropy of a field against its measure average:
     sum_x mu(x) tau_m(f(x)(ln f(x) - ln xi)) with xi = sum_x mu(x) f(x)."""
-    blocks = _field_blocks(g, f)
+    blocks, decs = _field_blocks(g, f)
     m = blocks.shape[1]
     if normalized:
         mass = sum(g.measure[x] * float(np.trace(blocks[x]).real) / m
@@ -217,14 +214,7 @@ def entropy_graph(g: WeightedGraph, f, normalized: bool = False) -> float:
             raise ValueError(f"field flagged normalized has mass {mass!r}")
     xi = np.einsum("x,xij->ij", g.measure, blocks)
     ds = positive_eigs(xi, "entropy_graph average")
-    total = 0.0
-    for x in range(g.n):
-        dr = positive_eigs(blocks[x], f"entropy_graph block {x}")
-        s = _overlap(dr.eigenvectors, ds.eigenvectors)
-        p = dr.eigenvalues[:, None]
-        q = ds.eigenvalues[None, :]
-        total += g.measure[x] * float((s * q * bregman(p / q)).sum()) / m
-    return total
+    return sum(g.measure[x] * _overlap_entropy(decs[x], ds) for x in range(g.n))
 
 
 def entropy_interpolation_check(rho, sigma, points: int = 64) -> float:

@@ -411,11 +411,6 @@ def evaluate_ratio(s: SpectralSuperoperator, e_fix, theta: np.ndarray,
     return _MatrixObjective(s, e_fix, p=p).terms(np.asarray(theta, dtype=float))
 
 
-def lift_expectation_matrix(e_fix, n: int, m: int) -> np.ndarray:
-    """E (x) id_m as a projection matrix on vectorized M_{nm}."""
-    return tensor_with_identity(_expectation_matrix(e_fix, n), n, m)
-
-
 def clsi_probe(s: SpectralSuperoperator, e_fix, m: int,
                opts: Optional[EstimateOptions] = None,
                target: str = "") -> EstimateReport:
@@ -440,7 +435,7 @@ def clsi_probe(s: SpectralSuperoperator, e_fix, m: int,
     lifted = SpectralSuperoperator.from_matrix(
         tensor_with_identity(s.matrix, s.dim, m), nm,
         label=f"{s.label}(x)id_{m}")
-    eproj = lift_expectation_matrix(e_fix, s.dim, m)
+    eproj = tensor_with_identity(_expectation_matrix(e_fix, s.dim), s.dim, m)
     return mlsi_estimate(lifted, eproj, opts, extra_starts=[embedded],
                          target=target or lifted.label)
 

@@ -17,13 +17,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import PositivityError
 from .graphs import WeightedGraph
 from .spectral import (
     KERNEL_EIG_TOL,
     ScalarKernel,
     SpectralSuperoperator,
-    doi_apply,
+    derivation_form,
+    positive_eigs,
     require_hermitian,
     semigroup_apply,
     superop_from_generators,
@@ -299,24 +299,15 @@ def gradient_estimate_check(generators: Sequence[np.ndarray], lam: float, rho,
     """
     s = superop_from_generators(generators)
     rho = require_hermitian(rho, what="gradient check rho")
-    if np.linalg.eigvalsh(rho).min() <= 0:
-        raise PositivityError("gradient check requires a strictly positive rho")
+    positive_eigs(rho, "gradient check rho")
     a = require_hermitian(a, what="gradient check observable")
     kernel = ScalarKernel.tilt()
-
-    def grad_norm_sq(target, state):
-        total = 0.0
-        for gen in s.generators:
-            d = 1j * (gen @ target - target @ gen)
-            total += float(np.trace(d @ doi_apply(state, state, kernel, d)).real)
-        return total / s.dim
-
     residuals = []
     for t in t_grid:
         pa = semigroup_apply(s, t, a)
         pr = semigroup_apply(s, t, rho)
-        lhs = grad_norm_sq(pa, rho)
-        rhs = grad_norm_sq(a, pr)
+        lhs = derivation_form(s.generators, pa, rho, kernel)
+        rhs = derivation_form(s.generators, a, pr, kernel)
         residuals.append(lhs - math.exp(-2.0 * lam * t) * rhs)
     return GradientCheckReport(lam=lam, t_grid=tuple(t_grid),
                                residuals=tuple(residuals), tol=tol)

@@ -77,14 +77,14 @@ def eig_hermitian(h) -> SpectralDecomposition:
 
 def positive_eigs(rho, what: str) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix whose smallest eigenvalue
-    must clear ``POSITIVITY_FLOOR``; ``what`` names it in the error."""
-    dec = eig_hermitian(rho)
-    wmin = float(dec.eigenvalues[0])
+    must clear ``POSITIVITY_FLOOR``; ``what`` names it in either error."""
+    w, u = np.linalg.eigh(require_hermitian(rho, what=what))
+    wmin = float(w[0])
     if wmin <= POSITIVITY_FLOOR:
         raise PositivityError(
             f"{what}: eigenvalue {wmin:.6e} at or below the positivity "
             f"floor {POSITIVITY_FLOOR:.1e}")
-    return dec
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
 def gibbs_state(h) -> np.ndarray:
@@ -119,16 +119,12 @@ def matrix_log(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarKernel:
-    """Symmetric positive scalar kernel k(x, y) with its diagonal limit.
-
-    Built-in kinds dispatch to the shared kernel-matrix builder; ``custom``
-    carries an evaluator that must handle x == y itself.
-    """
+    """Symmetric positive scalar kernel k(x, y) with its diagonal limit;
+    every kind dispatches to the shared kernel-matrix builder."""
 
     name: str
-    code: int = -1
+    code: int
     p: float = 0.0
-    evaluator: Optional[Callable[[float, float], float]] = None
 
     @staticmethod
     def log_quotient() -> "ScalarKernel":
@@ -145,19 +141,9 @@ class ScalarKernel:
         """k(x,y) = (x - y)/(ln x - ln y), k(x,x) = x."""
         return ScalarKernel("tilt", _kernels.KERNEL_TILT)
 
-    @staticmethod
-    def custom(evaluator: Callable[[float, float], float], name: str = "custom") -> "ScalarKernel":
-        return ScalarKernel(name, evaluator=evaluator)
-
     def matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.float64)
-        if self.evaluator is not None:
-            out = np.empty((len(x), len(y)))
-            for i, xi in enumerate(x):
-                for j, yj in enumerate(y):
-                    out[i, j] = self.evaluator(float(xi), float(yj))
-            return out
         return _kernels.kernel_matrix(x, y, self.code, self.p)
 
 
@@ -182,6 +168,22 @@ def doi_apply(rho, sigma, kernel: ScalarKernel, t) -> np.ndarray:
     k = kernel.matrix(dr.eigenvalues, ds.eigenvalues)
     u, v = dr.eigenvectors, ds.eigenvectors
     return u @ (k * (u.conj().T @ t @ v)) @ v.conj().T
+
+
+def derivation_form(generators, target, state, kernel: ScalarKernel) -> float:
+    """sum_k tau(d_k Q^state(d_k)) with d_k = i[a_k, target] and Q the
+    one-state DOI of ``kernel``.
+
+    With the log-quotient kernel and target = state this is the Fisher
+    information of a double-commutator generator; with the tilt kernel it
+    is the squared gradient norm ||grad target||^2_state.
+    """
+    n = len(target)
+    total = 0.0
+    for a in generators:
+        d = 1j * (a @ target - target @ a)
+        total += float(np.trace(d @ doi_apply(state, state, kernel, d)).real) / n
+    return total
 
 
 def doi_superop_matrix(rho, sigma, kernel: ScalarKernel) -> np.ndarray:

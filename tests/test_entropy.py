@@ -1,9 +1,12 @@
 """Entropy and Fisher functionals against hand-evaluated oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from clsibound import entropy, lindblad
+from clsibound.batteries import random_hermitian as rand_hermitian
 from clsibound.batteries import random_state as rand_state
 from clsibound.exceptions import ConsistencyError, PositivityError
 from clsibound.graphs import make_graph
@@ -11,11 +14,6 @@ from clsibound.spectral import superop_from_generators
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def rand_hermitian(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (a + a.conj().T)
 
 
 class TestRelEntropy:
@@ -151,6 +149,24 @@ class TestFisherLindblad:
         s = lindblad.pauli_system()
         for _ in range(20):
             assert entropy.fisher_lindblad(s, rand_state(rng, 2)) >= -1e-10
+
+
+def _mislabelled_pauli():
+    """The pauli superoperator carrying only one of its two generators, so
+    its derivation form misses the Y/2 half of the Fisher information."""
+    return dataclasses.replace(lindblad.pauli_system(), generators=(lindblad.PAULI_X / 2,))
+
+
+class TestDerivationFormCheck:
+    def test_fisher_forms_disagree(self):
+        rho = rand_state(np.random.default_rng(11), 2)
+        with pytest.raises(ConsistencyError, match="Fisher forms disagree"):
+            entropy.fisher_lindblad(_mislabelled_pauli(), rho)
+
+    def test_p_fisher_forms_disagree(self):
+        rho = rand_state(np.random.default_rng(11), 2)
+        with pytest.raises(ConsistencyError, match="p-Fisher forms disagree"):
+            entropy.p_fisher(_mislabelled_pauli(), rho, 1.5)
 
 
 class TestPFisher:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from clsibound import lindblad
+from clsibound.batteries import random_hermitian as rand_hermitian
 from clsibound.batteries import random_state as rand_state
+from clsibound.exceptions import PositivityError
 from clsibound.graphs import make_graph
 from clsibound.lindblad import (
     PAULI_X,
@@ -240,8 +242,7 @@ class TestGradientEstimate:
     def test_time_zero_equality(self):
         rng = np.random.default_rng(9)
         rho = rand_state(rng, 2)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        a = 0.5 * (a + a.conj().T)
+        a = rand_hermitian(rng, 2)
         report = gradient_estimate_check([PAULI_X / 2, PAULI_Y / 2], 1.0, rho, a, [0.0])
         assert abs(report.residuals[0]) < 1e-12
 
@@ -249,8 +250,7 @@ class TestGradientEstimate:
         rng = np.random.default_rng(10)
         for _ in range(3):
             rho = rand_state(rng, 2)
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            a = 0.5 * (a + a.conj().T)
+            a = rand_hermitian(rng, 2)
             report = gradient_estimate_check(
                 [PAULI_X / 2, PAULI_Y / 2], 1.0, rho, a, [0.1, 0.5, 1.0])
             assert report.passed
@@ -261,9 +261,13 @@ class TestGradientEstimate:
         violated = False
         for _ in range(5):
             rho = rand_state(rng, 2)
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            a = 0.5 * (a + a.conj().T)
+            a = rand_hermitian(rng, 2)
             report = gradient_estimate_check(
                 [PAULI_X / 2, PAULI_Y / 2], 5.0, rho, a, [0.1, 0.5, 1.0])
             violated |= not report.passed
         assert violated
+
+    def test_state_at_positivity_floor_rejected(self):
+        rho = np.diag([2.0 - 1e-13, 1e-13]).astype(complex)
+        with pytest.raises(PositivityError, match="gradient check rho"):
+            gradient_estimate_check([PAULI_X / 2, PAULI_Y / 2], 1.0, rho, PAULI_Z, [0.1])

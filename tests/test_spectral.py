@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clsibound import spectral
+from clsibound.batteries import random_hermitian as rand_hermitian
 from clsibound.exceptions import NonHermitianError, PositivityError
 from clsibound.spectral import (
     ScalarKernel,
@@ -23,11 +24,6 @@ from clsibound.spectral import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def rand_hermitian(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (a + a.conj().T)
 
 
 def rand_positive(rng, n, lo=0.3, hi=3.0):
@@ -129,17 +125,18 @@ class TestDoiApply:
         with pytest.raises(ValueError, match="dimension mismatch"):
             doi_apply(np.eye(2), np.eye(3), ScalarKernel.tilt(), np.eye(2))
 
-    def test_custom_kernel(self):
-        constant = ScalarKernel.custom(lambda x, y: 1.0)
-        rng = np.random.default_rng(5)
-        rho = rand_positive(rng, 3)
-        t = rand_hermitian(rng, 3)
-        np.testing.assert_allclose(doi_apply(rho, rho, constant, t), t, atol=1e-12)
-
     def test_power_quotient_diagonal_limit(self):
         k = ScalarKernel.power_quotient(1.5)
         m = k.matrix(np.array([2.0, 2.0 + 1e-12]), np.array([2.0]))
         np.testing.assert_allclose(m[:, 0], 0.5 * 2.0 ** -0.5, rtol=1e-9)
+
+
+class TestDerivationForm:
+    def test_tilt_closed_form(self):
+        # i[X/2, Z] = Y, so the form is k_tilt(1.5, 0.5) = 1/ln 3
+        rho = np.diag([1.5, 0.5]).astype(complex)
+        value = spectral.derivation_form([X / 2], Z, rho, ScalarKernel.tilt())
+        assert value == pytest.approx(1.0 / np.log(3.0), rel=1e-14)
 
 
 class TestQuadratureOracles:
