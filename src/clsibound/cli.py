@@ -6,7 +6,8 @@ human messages go to stderr.  Files are written atomically.
 
 Exit codes: 0 success, 2 parse error, 3 disconnected graph, 4 sandwich
 ordering violation, 5 non-monotone decay (or a fixed-point initial state),
-6 verification battery failure.
+6 verification battery failure, 7 numerical error (two computation routes
+disagree, or a quadrature oracle did not converge).
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import numpy as np
 
 from . import batteries, estimator, graphs, lindblad, serialize
 from .exceptions import (
+    ConsistencyError,
     DegenerateStartError,
     DisconnectedGraphError,
     GraphFormatError,
     NumericalIntegrityError,
+    QuadratureError,
 )
 from .lindblad import fixed_point_dim
 from .spectral import spectral_gap
@@ -32,6 +35,7 @@ EXIT_DISCONNECTED = 3
 EXIT_SANDWICH = 4
 EXIT_DECAY = 5
 EXIT_VERIFY = 6
+EXIT_NUMERICAL = 7
 
 
 def _err(message: str) -> None:
@@ -278,6 +282,9 @@ def main(argv=None) -> int:
     except (NumericalIntegrityError, DegenerateStartError) as exc:
         _err(f"decay error: {exc}")
         return EXIT_DECAY
+    except (ConsistencyError, QuadratureError) as exc:
+        _err(f"numerical error: {exc}")
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -91,10 +91,7 @@ class EstimateReport:
     witness: np.ndarray
     witness_theta: np.ndarray
     per_restart: list
-    restarts: int
-    seed: int
     options: EstimateOptions
-    backend: str
     p: Optional[float] = None
     sandwich: Optional[dict] = None
 
@@ -106,9 +103,9 @@ class EstimateReport:
             "value": self.value,
             "fisher": self.fisher,
             "entropy": self.entropy,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "backend": self.backend,
+            "restarts": self.options.restarts,
+            "seed": self.options.seed,
+            "backend": _kernels.BACKEND,
             "options": self.options.to_json_dict(),
             "per_restart": [v if math.isfinite(v) else None for v in self.per_restart],
             "witness_theta": serialize.vector_to_json(self.witness_theta),
@@ -360,9 +357,7 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
                           fisher=float(fisher), entropy=float(divergence),
                           witness=objective.witness(best_theta),
                           witness_theta=np.asarray(best_theta, dtype=float),
-                          per_restart=per_restart,
-                          restarts=opts.restarts, seed=opts.seed, options=opts,
-                          backend=_kernels.BACKEND, p=p)
+                          per_restart=per_restart, options=opts, p=p)
 
 
 def mlsi_estimate(s: SpectralSuperoperator, e_fix, opts: Optional[EstimateOptions] = None,

@@ -36,6 +36,10 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 COLLECTIVE_DIM_CAP = 64
 SPHERE_TRANSFER_CONSTANT = 1.0 / (5.0 * math.pi ** 2)
+# Largest distance of an integer-spectrum generator's eigenvalues from the
+# integers, and the largest gradient-estimate residual that still passes.
+INTEGER_SPECTRUM_TOL = 1e-8
+GRADIENT_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,19 +68,19 @@ class ConditionalExpectation:
     """Idempotent, unital, trace-preserving positive projection.
 
     Two internal representations cover every case used here: a 0/1 Schur
-    mask (edge, diagonal, sign-flip and custom pinchings) or an orthonormal
-    matrix basis of the range (kernel projections, trace).
+    mask (edge, diagonal, sign-flip and block pinchings) or an orthonormal
+    matrix basis of the range (kernel projections, trace).  ``label`` names
+    the expectation.
     """
 
-    def __init__(self, kind: str, dim: int, mask: Optional[np.ndarray] = None,
-                 basis: Optional[np.ndarray] = None, label: str = ""):
+    def __init__(self, label: str, dim: int, mask: Optional[np.ndarray] = None,
+                 basis: Optional[np.ndarray] = None):
         if (mask is None) == (basis is None):
             raise ValueError("exactly one of mask/basis is required")
-        self.kind = kind
+        self.label = label
         self.dim = dim
         self.mask = None if mask is None else np.asarray(mask, dtype=float)
         self.basis = None if basis is None else np.asarray(basis, dtype=complex)
-        self.label = label or kind
 
     def __call__(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -106,34 +110,19 @@ def edge_expectation(e, n: int) -> ConditionalExpectation:
     inside = np.zeros(n, dtype=bool)
     inside[[r, s]] = True
     mask = (inside[:, None] == inside[None, :]).astype(float)
-    return ConditionalExpectation("edge", n, mask=mask, label=f"edge({r},{s})")
+    return ConditionalExpectation(f"edge({r},{s})", n, mask=mask)
 
 
 def diagonal_expectation(n: int) -> ConditionalExpectation:
-    return ConditionalExpectation("diagonal", n, mask=np.eye(n), label="diagonal")
+    return ConditionalExpectation("diagonal", n, mask=np.eye(n))
 
 
 def trace_expectation(n: int) -> ConditionalExpectation:
     basis = (np.eye(n, dtype=complex) / np.sqrt(n))[None, :, :]
-    return ConditionalExpectation("trace", n, basis=basis, label="trace")
+    return ConditionalExpectation("trace", n, basis=basis)
 
 
-def pinching(mask, label: str = "pinching") -> ConditionalExpectation:
-    """Custom Schur-mask pinching; the mask must be symmetric 0/1 with unit
-    diagonal and PSD (a block-partition indicator)."""
-    mask = np.asarray(mask, dtype=float)
-    n = mask.shape[0]
-    if not np.array_equal(mask, mask.T) or not np.all(np.diag(mask) == 1.0):
-        raise ValueError("pinching mask must be symmetric with unit diagonal")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError("pinching mask must be 0/1")
-    if np.linalg.eigvalsh(mask).min() < -1e-12:
-        raise ValueError("pinching mask must be positive semidefinite")
-    return ConditionalExpectation("pinching", n, mask=mask, label=label)
-
-
-def block_pinching(blocks: Sequence[Sequence[int]], n: int,
-                   label: str = "block-pinching") -> ConditionalExpectation:
+def block_pinching(blocks: Sequence[Sequence[int]], n: int) -> ConditionalExpectation:
     """Pinching onto a block-diagonal algebra given a vertex partition."""
     which = np.full(n, -1)
     for b, members in enumerate(blocks):
@@ -142,7 +131,7 @@ def block_pinching(blocks: Sequence[Sequence[int]], n: int,
     if np.any(which < 0):
         raise ValueError("partition must cover every index")
     mask = (which[:, None] == which[None, :]).astype(float)
-    return ConditionalExpectation("pinching", n, mask=mask, label=label)
+    return ConditionalExpectation("block-pinching", n, mask=mask)
 
 
 def sign_flip_mask(i: int, n: int) -> np.ndarray:
@@ -170,25 +159,24 @@ def compose_pinchings(expectations: Sequence[ConditionalExpectation]) -> Conditi
     mask = masks[0].copy()
     for m in masks[1:]:
         mask = mask * m
-    return ConditionalExpectation("pinching", expectations[0].dim, mask=mask,
-                                  label="product")
+    return ConditionalExpectation("product", expectations[0].dim, mask=mask)
 
 
 @dataclass(frozen=True)
 class FixedPointData:
     dim: int
-    basis: np.ndarray  # (dim, n, n), orthonormal under tr(x* y)
     expectation: ConditionalExpectation
 
 
-def fixed_point_dim(s: SpectralSuperoperator, tol: float = KERNEL_EIG_TOL) -> FixedPointData:
-    """Dimension and orthonormal basis of the zero eigenspace, with the
-    kernel-projection conditional expectation.  Never assumes ergodicity."""
-    idx = np.where(s.eigenvalues <= tol)[0]
+def fixed_point_dim(s: SpectralSuperoperator) -> FixedPointData:
+    """Dimension of the zero eigenspace, with the kernel-projection
+    conditional expectation onto it (its ``basis`` is orthonormal under
+    tr(x* y)).  Never assumes ergodicity."""
+    idx = np.where(s.eigenvalues <= KERNEL_EIG_TOL)[0]
     basis = np.stack([s.eigenvectors[:, k].reshape(s.dim, s.dim).T for k in idx])
     expectation = ConditionalExpectation(
-        "kernel", s.dim, basis=basis, label=f"kernel-projection({len(idx)})")
-    return FixedPointData(dim=len(idx), basis=basis, expectation=expectation)
+        f"kernel-projection({len(idx)})", s.dim, basis=basis)
+    return FixedPointData(dim=len(idx), expectation=expectation)
 
 
 def graph_lindblad(g: WeightedGraph) -> SpectralSuperoperator:
@@ -219,15 +207,16 @@ def depolarizing(n: int) -> SpectralSuperoperator:
     return SpectralSuperoperator.from_matrix(mat, n, label=f"depolarizing({n})")
 
 
-def integer_spectrum_lindblad(x, tol: float = 1e-8) -> SpectralSuperoperator:
+def integer_spectrum_lindblad(x) -> SpectralSuperoperator:
     """Single-generator rho -> [x, [x, rho]] for Hermitian x with integer
     spectrum; carries the analytic lower bound 1/(5 pi^2)."""
     x = require_hermitian(x, what="integer-spectrum generator")
     w = np.linalg.eigvalsh(x)
     off = np.abs(w - np.round(w)).max()
-    if off > tol:
+    if off > INTEGER_SPECTRUM_TOL:
         raise ValueError(
-            f"generator spectrum is {off:.3e} away from integers (tol {tol:.0e})")
+            f"generator spectrum is {off:.3e} away from integers "
+            f"(tol {INTEGER_SPECTRUM_TOL:.0e})")
     s = superop_from_generators([x], label="integer-spectrum")
     return replace(s, certified_lower=SPHERE_TRANSFER_CONSTANT)
 
@@ -274,11 +263,10 @@ class GradientCheckReport:
     lam: float
     t_grid: tuple
     residuals: tuple
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.tol for r in self.residuals)
+        return all(r <= GRADIENT_CHECK_TOL for r in self.residuals)
 
     @property
     def worst(self) -> float:
@@ -286,8 +274,7 @@ class GradientCheckReport:
 
 
 def gradient_estimate_check(generators: Sequence[np.ndarray], lam: float, rho,
-                            a, t_grid: Sequence[float],
-                            tol: float = 1e-9) -> GradientCheckReport:
+                            a, t_grid: Sequence[float]) -> GradientCheckReport:
     """Check the gradient estimate
 
         ||grad P_t a||_rho^2 <= e^{-2 lam t} ||grad a||_{P_t rho}^2
@@ -295,7 +282,7 @@ def gradient_estimate_check(generators: Sequence[np.ndarray], lam: float, rho,
     for the self-adjoint semigroup of the given generators, with
     grad a = (i[a_k, a])_k and ||sigma||_rho^2 = tau(sigma Q^rho_tilt(sigma)).
     Residuals LHS - e^{-2 lam t} RHS are reported per grid point; they must
-    all be <= tol when lam is a valid curvature lower bound.
+    all be <= GRADIENT_CHECK_TOL when lam is a valid curvature lower bound.
     """
     s = superop_from_generators(generators)
     rho = require_hermitian(rho, what="gradient check rho")
@@ -310,4 +297,4 @@ def gradient_estimate_check(generators: Sequence[np.ndarray], lam: float, rho,
         rhs = derivation_form(s.generators, a, pr, kernel)
         residuals.append(lhs - math.exp(-2.0 * lam * t) * rhs)
     return GradientCheckReport(lam=lam, t_grid=tuple(t_grid),
-                               residuals=tuple(residuals), tol=tol)
+                               residuals=tuple(residuals))

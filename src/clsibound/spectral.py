@@ -15,6 +15,7 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -42,17 +43,17 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(n, n).T
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     """Validate conjugate symmetry and return a complex128 copy."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonHermitianError(f"{what} must be square, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     dev = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise NonHermitianError(
             f"{what} is not Hermitian: max deviation {dev:.3e} exceeds "
-            f"{tol:.1e} (scale {scale:.3e})")
+            f"{HERMITIAN_TOL:.1e} (scale {scale:.3e})")
     return 0.5 * (a + a.conj().T)
 
 
@@ -177,12 +178,19 @@ def derivation_form(generators, target, state, kernel: ScalarKernel) -> float:
     With the log-quotient kernel and target = state this is the Fisher
     information of a double-commutator generator; with the tilt kernel it
     is the squared gradient norm ||grad target||^2_state.
+
+    In the eigenbasis U of ``state`` each term is
+    ``(1/n) sum_ij K_ij |(U* d_k U)_ij|^2``, so the state is diagonalized
+    and its kernel matrix K built once for all generators.
     """
     n = len(target)
+    dec = positive_eigs(state, "derivation_form state")
+    k = kernel.matrix(dec.eigenvalues, dec.eigenvalues)
+    u = dec.eigenvectors
     total = 0.0
     for a in generators:
-        d = 1j * (a @ target - target @ a)
-        total += float(np.trace(d @ doi_apply(state, state, kernel, d)).real) / n
+        d = u.conj().T @ (1j * (a @ target - target @ a)) @ u
+        total += float((k * np.abs(d) ** 2).sum()) / n
     return total
 
 
@@ -197,17 +205,22 @@ def doi_superop_matrix(rho, sigma, kernel: ScalarKernel) -> np.ndarray:
     return (w * vec(k.astype(complex))) @ w.conj().T
 
 
+@functools.lru_cache(maxsize=None)  # one entry per (points, interval) in use
 def _gauss_legendre(points: int, a: float, b: float):
+    """Gauss-Legendre nodes and weights of ``points`` points on [a, b]."""
     x, w = np.polynomial.legendre.leggauss(points)
     half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+    nodes, weights = a + half * (x + 1.0), half * w
+    nodes.setflags(write=False)  # cached and shared by every caller
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-def _refine(points: int, estimate: Callable[[int], np.ndarray], what: str) -> np.ndarray:
-    """Doubling refinement until successive estimates differ < 1e-8 in max
-    norm or 512 points are reached; differences above 1e-6 at the cap are a
-    quadrature failure."""
-    points = max(4, min(int(points), 256))
+def _refine(estimate: Callable[[int], np.ndarray], what: str) -> np.ndarray:
+    """Doubling refinement from 64 Gauss-Legendre nodes until successive
+    estimates differ < 1e-8 in max norm or 512 points are reached;
+    differences above 1e-6 at the cap are a quadrature failure."""
+    points = 64
     prev = estimate(points)
     delta = np.inf
     while points < 512:
@@ -224,7 +237,7 @@ def _refine(points: int, estimate: Callable[[int], np.ndarray], what: str) -> np
     return prev
 
 
-def quadrature_oracle_resolvent(rho, t, points: int = 64) -> np.ndarray:
+def quadrature_oracle_resolvent(rho, t) -> np.ndarray:
     """Independent oracle for the log-quotient DOI:
     integral over r in (0, inf) of (rho+r)^-1 T (rho+r)^-1 dr, via the
     substitution r = tan(theta) and Gauss-Legendre nodes.  Uses explicit
@@ -245,10 +258,10 @@ def quadrature_oracle_resolvent(rho, t, points: int = 64) -> np.ndarray:
             acc += weight * jac * (res @ t @ res)
         return acc
 
-    return _refine(points, estimate, "resolvent quadrature")
+    return _refine(estimate, "resolvent quadrature")
 
 
-def quadrature_oracle_tilt(rho, t, points: int = 64) -> np.ndarray:
+def quadrature_oracle_tilt(rho, t) -> np.ndarray:
     """Independent oracle for the tilt DOI:
     integral over r in (0, 1) of rho^r T rho^(1-r) dr."""
     dec = positive_eigs(rho, "tilt oracle rho")
@@ -264,7 +277,7 @@ def quadrature_oracle_tilt(rho, t, points: int = 64) -> np.ndarray:
             acc += weight * ((w ** r)[:, None] * tu * (w ** (1.0 - r))[None, :])
         return u @ acc @ u.conj().T
 
-    return _refine(points, estimate, "tilt quadrature")
+    return _refine(estimate, "tilt quadrature")
 
 
 @dataclass(frozen=True)
@@ -288,7 +301,6 @@ class SpectralSuperoperator:
 
     @staticmethod
     def from_matrix(matrix: np.ndarray, dim: int, generators=None,
-                    certified_lower: Optional[float] = None,
                     label: str = "") -> "SpectralSuperoperator":
         matrix = np.ascontiguousarray(matrix, dtype=complex)
         if matrix.shape != (dim * dim, dim * dim):
@@ -311,8 +323,7 @@ class SpectralSuperoperator:
                 f"(residual {residual:.3e})")
         gens = tuple(np.asarray(g, dtype=complex) for g in generators) if generators else None
         return SpectralSuperoperator(dim=dim, matrix=matrix, eigenvalues=w,
-                                     eigenvectors=v, generators=gens,
-                                     certified_lower=certified_lower, label=label)
+                                     eigenvectors=v, generators=gens, label=label)
 
     def apply(self, rho) -> np.ndarray:
         return unvec(self.matrix @ vec(rho), self.dim)

@@ -1,6 +1,7 @@
 """Every named verification battery must pass with its default settings."""
 
 import functools
+import inspect
 
 import pytest
 
@@ -36,6 +37,10 @@ TAKES_DIMS = {"doi-identity", "quadrature"}
 
 
 def test_overrides_follow_battery_signatures(monkeypatch):
+    # the overridable knobs are the only parameters; seeds stay in the bodies
+    for name, fn in batteries.REGISTRY.items():
+        params = set(inspect.signature(fn).parameters)
+        assert params <= {"trials", "states", "dims"}, (name, params)
     calls = {}
 
     def spy(name, fn):

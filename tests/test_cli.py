@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clsibound import batteries, cli, serialize
+from clsibound.exceptions import ConsistencyError, QuadratureError
 
 Z4 = '{"n": 4, "edges": [[0,1],[1,2],[2,3],[0,3]]}'
 STAR = '{"n": 4, "edges": [[0,1],[0,2],[0,3]]}'
@@ -239,6 +240,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 6
         assert "entropy-interpolation: FAIL" in out
+
+    @pytest.mark.parametrize("error", [ConsistencyError, QuadratureError])
+    def test_numerical_error_exit_seven(self, capsys, monkeypatch, error):
+        def raising():
+            raise error("forced disagreement")
+
+        monkeypatch.setitem(batteries.REGISTRY, "fisher-forms", raising)
+        code = cli.main(["verify", "--only", "fisher-forms"])
+        captured = capsys.readouterr()
+        assert code == 7
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["numerical error: forced disagreement"]
 
 
 class TestCover:

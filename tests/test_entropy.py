@@ -238,7 +238,7 @@ class TestEntropyGraph:
 
     def test_scalar_two_point(self):
         g = make_graph(2, [(0, 1)])
-        value = entropy.entropy_graph(g, np.array([1.5, 0.5]), normalized=True)
+        value = entropy.entropy_graph(g, np.array([1.5, 0.5]))
         expected = 0.5 * (1.5 * np.log(1.5) + 0.5 * np.log(0.5))
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -256,11 +256,6 @@ class TestEntropyGraph:
         oracle = entropy.rel_entropy(embed_rho, embed_xi).value * 2.0
         assert value == pytest.approx(oracle, abs=1e-10)
 
-    def test_unnormalized_flag(self):
-        g = make_graph(2, [(0, 1)])
-        with pytest.raises(ValueError, match="mass"):
-            entropy.entropy_graph(g, np.array([3.0, 3.0]), normalized=True)
-
 
 class TestEntropyInterpolation:
     def test_equal_states(self):
@@ -271,7 +266,7 @@ class TestEntropyInterpolation:
     def test_commuting_diagonal_pair(self):
         rho = np.diag([0.4, 1.1, 1.5]).astype(complex)
         sigma = np.diag([1.2, 0.5, 1.3]).astype(complex)
-        assert entropy.entropy_interpolation_check(rho, sigma, 64) < 1e-10
+        assert entropy.entropy_interpolation_check(rho, sigma) < 1e-10
 
     def test_random_noncommuting_pair(self):
         rng = np.random.default_rng(13)
@@ -281,7 +276,7 @@ class TestEntropyInterpolation:
         b = rand_hermitian(rng, 3)
         q2, _ = np.linalg.qr(b)
         sigma = (q2 * rng.uniform(0.1, 2.0, 3)) @ q2.conj().T
-        assert entropy.entropy_interpolation_check(rho, sigma, 64) < 1e-8
+        assert entropy.entropy_interpolation_check(rho, sigma) < 1e-8
 
 
 class TestScalingCovariance:

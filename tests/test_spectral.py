@@ -138,16 +138,41 @@ class TestDerivationForm:
         value = spectral.derivation_form([X / 2], Z, rho, ScalarKernel.tilt())
         assert value == pytest.approx(1.0 / np.log(3.0), rel=1e-14)
 
+    @pytest.mark.parametrize("kernel", [ScalarKernel.log_quotient(), ScalarKernel.tilt(),
+                                        ScalarKernel.power_quotient(1.5)],
+                             ids=lambda k: k.name)
+    def test_matches_per_generator_doi(self, kernel):
+        # reference: one DOI application per generator, sum_k tau(d_k Q(d_k))
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4, 5):
+            gens = [rand_hermitian(rng, n) for _ in range(3)]
+            state = rand_positive(rng, n)
+            for target in (state, rand_hermitian(rng, n)):
+                ds = [1j * (a @ target - target @ a) for a in gens]
+                reference = sum(float(np.trace(d @ doi_apply(state, state, kernel, d)).real)
+                                for d in ds) / n
+                value = spectral.derivation_form(gens, target, state, kernel)
+                assert value == pytest.approx(reference, rel=1e-13)
+
 
 class TestQuadratureOracles:
+    def test_gauss_legendre_rule_cached_read_only(self):
+        nodes, weights = spectral._gauss_legendre(64, 0.0, 1.0)
+        again = spectral._gauss_legendre(64, 0.0, 1.0)
+        assert again[0] is nodes and again[1] is weights
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        x, w = np.polynomial.legendre.leggauss(64)
+        np.testing.assert_array_equal(nodes, 0.5 * (x + 1.0))
+        np.testing.assert_array_equal(weights, 0.5 * w)
+
     def test_resolvent_identity(self):
         eye = np.eye(2, dtype=complex)
-        np.testing.assert_allclose(quadrature_oracle_resolvent(eye, eye, 32),
+        np.testing.assert_allclose(quadrature_oracle_resolvent(eye, eye),
                                    eye, atol=1e-8)
 
     def test_resolvent_closed_form(self):
         rho = np.diag([1.0, 4.0]).astype(complex)
-        out = quadrature_oracle_resolvent(rho, X, 64)
+        out = quadrature_oracle_resolvent(rho, X)
         assert abs(out[0, 1] - np.log(4.0) / 3.0) < 1e-8
 
     def test_resolvent_matches_kernel(self):
@@ -155,22 +180,22 @@ class TestQuadratureOracles:
         rho = rand_positive(rng, 3)
         t = rand_hermitian(rng, 3)
         direct = doi_apply(rho, rho, ScalarKernel.log_quotient(), t)
-        assert np.abs(quadrature_oracle_resolvent(rho, t, 64) - direct).max() < 1e-6
+        assert np.abs(quadrature_oracle_resolvent(rho, t) - direct).max() < 1e-6
 
     def test_tilt_identity_state(self):
         eye = np.eye(2, dtype=complex)
-        np.testing.assert_allclose(quadrature_oracle_tilt(eye, X, 32), X, atol=1e-8)
+        np.testing.assert_allclose(quadrature_oracle_tilt(eye, X), X, atol=1e-8)
 
     def test_tilt_matches_kernel(self):
         rng = np.random.default_rng(7)
         rho = rand_positive(rng, 3)
         t = rand_hermitian(rng, 3)
         direct = doi_apply(rho, rho, ScalarKernel.tilt(), t)
-        assert np.abs(quadrature_oracle_tilt(rho, t, 64) - direct).max() < 1e-6
+        assert np.abs(quadrature_oracle_tilt(rho, t) - direct).max() < 1e-6
 
     def test_tilt_diagonal_scaling(self):
         rho = np.diag([0.5, 2.0]).astype(complex)
-        out = quadrature_oracle_tilt(rho, X, 64)
+        out = quadrature_oracle_tilt(rho, X)
         expected = (0.5 - 2.0) / (np.log(0.5) - np.log(2.0))
         assert abs(out[0, 1] - expected) < 1e-8
 
