@@ -298,7 +298,8 @@ def battery_fisher_forms(trials: int = 50) -> BatteryResult:
         s = spectral.superop_from_generators(gens)
         rho = random_state(rng, n)
         spectral_form = entropy.fisher_lindblad(s, rho)
-        derivation_form = spectral.derivation_form(s.generators, rho, rho, kernel)
+        derivation_form = spectral.derivation_form(
+            s.generators, rho, spectral.positive_eigs(rho, "fisher-forms rho"), kernel)
         worst = max(worst, abs(spectral_form - derivation_form)
                     / max(1.0, abs(spectral_form)))
     return BatteryResult("fisher-forms", worst <= 1e-8, worst, f"{trials} trials")

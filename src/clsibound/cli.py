@@ -1,18 +1,27 @@
 """Command-line interface.
 
-Subcommands: bound, lindblad, estimate, decay, verify, cover.  Machine
-output goes to stdout as key=value lines (17-significant-digit decimals);
-human messages go to stderr.  Files are written atomically.
+Subcommands: bound, lindblad, estimate, decay, verify, cover; each takes
+only the options it reads.  ``estimate`` and ``decay`` take exactly one of
+``--target`` (a builtin system) and ``--graph PATH``.  Machine output goes
+to stdout as key=value lines (17-significant-digit decimals); human
+messages go to stderr.  Files are written atomically.
 
-Exit codes: 0 success, 2 parse error, 3 disconnected graph, 4 sandwich
-ordering violation, 5 non-monotone decay (or a fixed-point initial state),
-6 verification battery failure, 7 numerical error (two computation routes
-disagree, or a quadrature oracle did not converge).
+Exit codes (``ERRORS`` maps exceptions to them and to one stderr line):
+  0  success
+  2  usage or input error: argparse, unreadable or malformed input
+  3  disconnected graph
+  4  sandwich ordering violation
+  5  non-monotone decay, or a degenerate start on the fixed-point manifold
+  6  verification battery failure
+  7  numerical error: two computation routes disagree, or a quadrature
+     oracle did not converge
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 
 import numpy as np
@@ -37,6 +46,15 @@ EXIT_DECAY = 5
 EXIT_VERIFY = 6
 EXIT_NUMERICAL = 7
 
+# (exception types, exit code, stderr line): the first matching row wins.
+ERRORS = (
+    ((DisconnectedGraphError,), EXIT_DISCONNECTED, "graph is disconnected"),
+    ((ValueError, KeyError, OSError), EXIT_PARSE, "error: {}"),
+    ((NumericalIntegrityError,), EXIT_DECAY, "decay error: {}"),
+    ((DegenerateStartError,), EXIT_DECAY, "degenerate start: {}"),
+    ((ConsistencyError, QuadratureError), EXIT_NUMERICAL, "numerical error: {}"),
+)
+
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
@@ -53,27 +71,25 @@ def _read_graph(path: str) -> graphs.WeightedGraph:
         return graphs.load_graph(handle.read())
 
 
-def _build_target(name: str, graph_path):
-    """Resolve a --target spec to (superoperator, fixed-point expectation,
-    label).  Builtins: pauli, depolarizing:n, intspec:d0,d1,...; anything
-    else requires --graph."""
-    if name == "pauli":
+def _build_target(args):
+    """Resolve --target (pauli | depolarizing:n | intspec:d0,d1,...) or
+    --graph PATH to (superoperator, fixed-point expectation)."""
+    name = args.target
+    if name is None:
+        g = _read_graph(args.graph)
+        if not graphs.is_connected(g):
+            raise DisconnectedGraphError("graph is disconnected")
+        s = lindblad.graph_lindblad(g)
+    elif name == "pauli":
         s = lindblad.pauli_system()
     elif name.startswith("depolarizing:"):
         s = lindblad.depolarizing(int(name.split(":", 1)[1]))
     elif name.startswith("intspec:"):
         diag = [float(x) for x in name.split(":", 1)[1].split(",")]
         s = lindblad.integer_spectrum_lindblad(np.diag(diag).astype(complex))
-    elif name == "graph":
-        if not graph_path:
-            raise GraphFormatError("--target graph requires --graph PATH")
-        g = _read_graph(graph_path)
-        if not graphs.is_connected(g):
-            raise DisconnectedGraphError("graph is disconnected")
-        s = lindblad.graph_lindblad(g)
     else:
         raise GraphFormatError(f"unknown target {name!r}")
-    return s, fixed_point_dim(s).expectation, name
+    return s, fixed_point_dim(s).expectation
 
 
 def _initial_state(spec: str, s) -> np.ndarray:
@@ -88,14 +104,7 @@ def _initial_state(spec: str, s) -> np.ndarray:
         rng = np.random.default_rng(int(spec.split(":", 1)[1]))
         return batteries.random_state(rng, n)
     with open(spec) as handle:
-        import json
-
         return serialize.matrix_from_json(json.load(handle))
-
-
-def _opts_from_args(args) -> estimator.EstimateOptions:
-    return estimator.EstimateOptions(restarts=args.restarts, seed=args.seed,
-                                     tol=args.tol)
 
 
 def cmd_bound(args) -> int:
@@ -117,12 +126,12 @@ def cmd_lindblad(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    opts = _opts_from_args(args)
-    if args.graph and args.target == "graph":
-        g = _read_graph(args.graph)
-        if not graphs.is_connected(g):
-            raise DisconnectedGraphError("graph is disconnected")
-        report = estimator.sandwich_check(g, opts)
+    opts = estimator.EstimateOptions(restarts=args.restarts, seed=args.seed,
+                                     tol=args.tol)
+    if args.graph:
+        if args.p is not None or args.m is not None:
+            raise ValueError("--graph runs the sandwich check, without --p or --m")
+        report = estimator.sandwich_check(_read_graph(args.graph), opts)
         _emit("classical_estimate", report.classical.value)
         _emit("matrix_estimate", report.matrix.value)
         _emit("certified", report.certificate_best)
@@ -142,13 +151,14 @@ def cmd_estimate(args) -> int:
             return EXIT_SANDWICH
         return EXIT_OK
 
-    s, e_fix, label = _build_target(args.target, args.graph)
+    s, e_fix = _build_target(args)
+    m = args.m or 1
     if args.p is not None:
-        report = estimator.cpsi_estimate(s, e_fix, args.p, opts, target=label)
-    elif args.m > 1:
-        report = estimator.clsi_probe(s, e_fix, args.m, opts, target=label)
+        report = estimator.cpsi_estimate(s, e_fix, args.p, opts, target=args.target)
+    elif m > 1:
+        report = estimator.clsi_probe(s, e_fix, m, opts, target=args.target)
     else:
-        report = estimator.mlsi_estimate(s, e_fix, opts, target=label)
+        report = estimator.mlsi_estimate(s, e_fix, opts, target=args.target)
     gap = spectral_gap(s)
     _emit("estimate", report.value)
     _emit("gap", gap)
@@ -156,7 +166,7 @@ def cmd_estimate(args) -> int:
         serialize.atomic_write_text(args.out, report.to_json())
         _err(f"report written to {args.out}")
     slack = estimator.SANDWICH_BASE_SLACK + opts.tol
-    if report.value > 2.0 * gap + slack and args.m <= 1 and args.p is None:
+    if report.value > 2.0 * gap + slack and m == 1 and args.p is None:
         _err(f"ordering violated: estimate<=2*gap "
              f"({report.value!r} > {2.0 * gap!r} + slack)")
         return EXIT_SANDWICH
@@ -164,7 +174,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    s, e_fix, label = _build_target(args.target, args.graph)
+    s, e_fix = _build_target(args)
     rho0 = _initial_state(args.state, s)
     grid = np.linspace(args.t_start, args.t_stop, args.t_count)
     curve = estimator.decay_curve(s, e_fix, rho0, grid)
@@ -209,63 +219,79 @@ def cmd_cover(args) -> int:
     return EXIT_OK
 
 
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type: an integer in [low, high)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(
+                f"{text} is not an integer in [{low}, {high})")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{text} is not finite and nonnegative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clsibound",
         description="Certified log-Sobolev lower bounds for graphs and their "
                     "matrix generators, with numeric verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_in(1)
 
-    def common(p, graph_required=False):
-        p.add_argument("--graph", help="graph JSON file", required=graph_required)
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-8,
+    def add(name, fn, summary, *options):
+        """A subcommand parser with the named shared options: "graph" (a
+        required --graph), "target" (exactly one of --target and --graph)
+        and "out"."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        if "graph" in options:
+            p.add_argument("--graph", required=True, help="graph JSON file")
+        if "target" in options:
+            choice = p.add_mutually_exclusive_group(required=True)
+            choice.add_argument("--target", help="pauli | depolarizing:n | intspec:d0,d1,...")
+            choice.add_argument("--graph", help="graph JSON file")
+        if "out" in options:
+            p.add_argument("--out", help="output file path")
+        return p
+
+    add("bound", cmd_bound, "certified bounds for a graph", "graph", "out")
+    add("lindblad", cmd_lindblad, "transferred matrix-generator bound", "graph")
+
+    p_est = add("estimate", cmd_estimate, "numeric MLSI/CpSI estimate", "target", "out")
+    p_est.add_argument("--seed", type=_int_in(0, 2 ** 64), default=0)
+    p_est.add_argument("--restarts", type=positive, default=200)
+    p_est.add_argument("--tol", type=_tolerance, default=1e-8,
                        help="classical Nelder-Mead tolerance and the slack of "
                             "the ordering checks; the matrix L-BFGS search "
                             "uses fixed stopping constants")
+    variant = p_est.add_mutually_exclusive_group()
+    variant.add_argument("--p", type=float, default=None,
+                         help="p in (1,2) for the p-Sobolev estimate")
+    variant.add_argument("--m", type=positive, default=None,
+                         help="matrix amplification for the complete-constant probe")
 
-    p_bound = sub.add_parser("bound", help="certified bounds for a graph")
-    common(p_bound, graph_required=True)
-    p_bound.set_defaults(fn=cmd_bound)
-
-    p_lind = sub.add_parser("lindblad", help="transferred matrix-generator bound")
-    common(p_lind, graph_required=True)
-    p_lind.set_defaults(fn=cmd_lindblad)
-
-    p_est = sub.add_parser("estimate", help="numeric MLSI/CpSI estimate")
-    common(p_est)
-    p_est.add_argument("--target", default="graph",
-                       help="pauli | depolarizing:n | intspec:d0,d1,... | graph")
-    p_est.add_argument("--p", type=float, default=None,
-                       help="p in (1,2) for the p-Sobolev estimate")
-    p_est.add_argument("--m", type=int, default=1,
-                       help="matrix amplification for the complete-constant probe")
-    p_est.set_defaults(fn=cmd_estimate)
-
-    p_dec = sub.add_parser("decay", help="entropy decay curve")
-    common(p_dec)
-    p_dec.add_argument("--target", default="graph")
+    p_dec = add("decay", cmd_decay, "entropy decay curve", "target", "out")
     p_dec.add_argument("--state", default="random:0",
                        help="random:SEED | zwitness | fixed | path to matrix JSON")
     p_dec.add_argument("--t-start", type=float, default=0.0, dest="t_start")
     p_dec.add_argument("--t-stop", type=float, default=3.0, dest="t_stop")
     p_dec.add_argument("--t-count", type=int, default=25, dest="t_count")
-    p_dec.set_defaults(fn=cmd_decay)
 
-    p_ver = sub.add_parser("verify", help="run the property batteries")
+    p_ver = add("verify", cmd_verify, "run the property batteries")
     p_ver.add_argument("--only", help="run one named battery")
-    p_ver.add_argument("--dims", type=int, default=None,
+    p_ver.add_argument("--dims", type=_int_in(2), default=None,
                        help="cap matrix dimension for dimension-aware batteries")
-    p_ver.add_argument("--trials", type=int, default=None,
+    p_ver.add_argument("--trials", type=positive, default=None,
                        help="override per-battery trial counts")
-    p_ver.set_defaults(fn=cmd_verify)
 
-    p_cov = sub.add_parser("cover", help="traversal cover of the MST")
-    common(p_cov, graph_required=True)
-    p_cov.set_defaults(fn=cmd_cover)
-
+    add("cover", cmd_cover, "traversal cover of the MST", "graph", "out")
     return parser
 
 
@@ -273,18 +299,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphFormatError, FileNotFoundError, ValueError, KeyError) as exc:
-        if isinstance(exc, DisconnectedGraphError):
-            _err("graph is disconnected")
-            return EXIT_DISCONNECTED
-        _err(f"error: {exc}")
-        return EXIT_PARSE
-    except (NumericalIntegrityError, DegenerateStartError) as exc:
-        _err(f"decay error: {exc}")
-        return EXIT_DECAY
-    except (ConsistencyError, QuadratureError) as exc:
-        _err(f"numerical error: {exc}")
-        return EXIT_NUMERICAL
+    except Exception as exc:
+        for types, code, line in ERRORS:
+            if isinstance(exc, types):
+                _err(line.format(exc))
+                return code
+        raise
 
 
 if __name__ == "__main__":

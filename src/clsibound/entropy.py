@@ -136,14 +136,16 @@ def _centered_spectral_product(s: SpectralSuperoperator, rho_dec: SpectralDecomp
     return float(np.einsum("ij,ji->", a, g).real) / s.dim
 
 
-def _check_derivation_form(s: SpectralSuperoperator, rho, kernel: ScalarKernel,
-                           weight: float, value: float, what: str) -> None:
+def _check_derivation_form(s: SpectralSuperoperator, rho, dec: SpectralDecomposition,
+                           kernel: ScalarKernel, weight: float, value: float,
+                           what: str) -> None:
     """When ``s`` carries generators, ``value`` must match the derivation
     form weight * sum_k tau(d_k Q^rho(d_k)), d_k = i[a_k, rho], within
-    FISHER_FORM_TOL (internal-consistency error otherwise)."""
+    FISHER_FORM_TOL (internal-consistency error otherwise); ``dec`` is
+    rho's positive eigendecomposition."""
     if not s.generators:
         return
-    alt = weight * derivation_form(s.generators, rho, rho, kernel)
+    alt = weight * derivation_form(s.generators, rho, dec, kernel)
     if abs(alt - value) > FISHER_FORM_TOL * max(1.0, abs(value)):
         raise ConsistencyError(
             f"{what} forms disagree: spectral {value!r} vs derivation {alt!r}")
@@ -158,7 +160,7 @@ def fisher_lindblad(s: SpectralSuperoperator, rho) -> float:
     """
     dec = positive_eigs(rho, "fisher_lindblad rho")
     value = _centered_spectral_product(s, dec, np.log(dec.eigenvalues))
-    _check_derivation_form(s, rho, ScalarKernel.log_quotient(), 1.0, value, "Fisher")
+    _check_derivation_form(s, rho, dec, ScalarKernel.log_quotient(), 1.0, value, "Fisher")
     return value
 
 
@@ -170,7 +172,8 @@ def p_fisher(s: SpectralSuperoperator, rho, p: float) -> float:
         raise ValueError(f"p must lie in (1, 2), got {p}")
     dec = positive_eigs(rho, "p_fisher rho")
     value = p * _centered_spectral_product(s, dec, dec.eigenvalues ** (p - 1.0))
-    _check_derivation_form(s, rho, ScalarKernel.power_quotient(p), p, value, "p-Fisher")
+    _check_derivation_form(s, rho, dec, ScalarKernel.power_quotient(p), p, value,
+                           "p-Fisher")
     return value
 
 

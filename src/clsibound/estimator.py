@@ -580,9 +580,9 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
     ordering is inherited rather than hoped for.
     """
     opts = opts or EstimateOptions()
+    cert = certified_bound(g)  # first, so a disconnected graph of any size says so
     if g.n > 5:
         raise ValueError("sandwich harness is desk-scale: n <= 5")
-    cert = certified_bound(g)
 
     a = graph_laplacian(g)
     gap_c = spectral_gap(a)

@@ -20,6 +20,9 @@ from . import serialize
 from .exceptions import DisconnectedGraphError, GraphFormatError
 
 MEASURE_TOL = 1e-12
+# Caps the default uniform measure, the one array whose length a graph
+# document sets without spelling it out.
+MAX_VERTICES = 1_000_000
 COVER_TOL = 1e-12
 
 
@@ -74,18 +77,24 @@ class WeightedGraph:
 
 
 def make_graph(n: int, edges, measure=None) -> WeightedGraph:
-    """Validate and build a WeightedGraph.
+    """Validate and build a WeightedGraph; any malformed input raises
+    GraphFormatError.
 
     ``edges`` items are (u, v) or (u, v, w); missing weights default to 1,
     missing measure defaults to uniform.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise GraphFormatError(f"vertex count must be an integer >= 2, got {n!r}")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds {MAX_VERTICES}")
     n = int(n)
+    if not isinstance(edges, (list, tuple)):
+        raise GraphFormatError(f"edges must be a list, got {type(edges).__name__}")
     seen = set()
     norm = []
     for idx, item in enumerate(edges):
-        item = tuple(item)
+        if not isinstance(item, (list, tuple)):
+            raise GraphFormatError(f"edges[{idx}]: expected [u, v] or [u, v, w]")
         if len(item) == 2:
             u, v = item
             w = 1.0
@@ -105,14 +114,16 @@ def make_graph(n: int, edges, measure=None) -> WeightedGraph:
         if (u, v) in seen:
             raise GraphFormatError(f"edges[{idx}]: duplicate edge ({u},{v})")
         seen.add((u, v))
-        w = float(w)
+        w = _real(w, f"edges[{idx}]: weight")
         if not (w > 0 and math.isfinite(w)):
             raise GraphFormatError(f"edges[{idx}]: weight must be positive, got {w}")
         norm.append((u, v, w))
     if measure is None:
         mu = np.full(n, 1.0 / n)
     else:
-        mu = np.asarray(measure, dtype=float)
+        if not isinstance(measure, (list, tuple, np.ndarray)):
+            raise GraphFormatError("measure must be a list of numbers")
+        mu = np.array([_real(x, "measure entry") for x in measure])
         if mu.shape != (n,):
             raise GraphFormatError(f"measure must have length {n}, got shape {mu.shape}")
         if not np.all(mu > 0):
@@ -120,14 +131,24 @@ def make_graph(n: int, edges, measure=None) -> WeightedGraph:
         if abs(mu.sum() - 1.0) > MEASURE_TOL:
             raise GraphFormatError(
                 f"measure must sum to 1 within {MEASURE_TOL:.0e}, got {mu.sum()!r}")
-    return WeightedGraph(n=n, edges=tuple(sorted(norm)), measure=mu.copy())
+    return WeightedGraph(n=n, edges=tuple(sorted(norm)), measure=mu)
+
+
+def _real(x, what: str) -> float:
+    """A JSON number (not a bool or string) as a float."""
+    if not serialize.is_number(x):
+        raise GraphFormatError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise GraphFormatError(f"{what} {x} is out of range") from None
 
 
 def load_graph(text: str) -> WeightedGraph:
     """Parse the graph JSON document {"n", "edges", "measure"?}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level document must be an object")

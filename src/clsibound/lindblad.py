@@ -286,15 +286,16 @@ def gradient_estimate_check(generators: Sequence[np.ndarray], lam: float, rho,
     """
     s = superop_from_generators(generators)
     rho = require_hermitian(rho, what="gradient check rho")
-    positive_eigs(rho, "gradient check rho")
+    rho_dec = positive_eigs(rho, "gradient check rho")
     a = require_hermitian(a, what="gradient check observable")
     kernel = ScalarKernel.tilt()
     residuals = []
     for t in t_grid:
         pa = semigroup_apply(s, t, a)
         pr = semigroup_apply(s, t, rho)
-        lhs = derivation_form(s.generators, pa, rho, kernel)
-        rhs = derivation_form(s.generators, a, pr, kernel)
+        lhs = derivation_form(s.generators, pa, rho_dec, kernel)
+        rhs = derivation_form(s.generators, a, positive_eigs(pr, "gradient check P_t rho"),
+                              kernel)
         residuals.append(lhs - math.exp(-2.0 * lam * t) * rhs)
     return GradientCheckReport(lam=lam, t_grid=tuple(t_grid),
                                residuals=tuple(residuals))

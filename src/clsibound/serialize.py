@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 
@@ -82,9 +83,28 @@ def matrix_to_json(a: np.ndarray) -> list:
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in a]
 
 
+def is_number(x) -> bool:
+    """A real number that is not a bool (JSON true and false are not
+    numbers)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def matrix_from_json(obj) -> np.ndarray:
-    rows = [[complex(entry[0], entry[1]) for entry in row] for row in obj]
-    return np.array(rows, dtype=complex)
+    """Inverse of ``matrix_to_json``: a square nested list of [re, im] pairs
+    of finite numbers; anything else raises ValueError."""
+    n = len(obj) if isinstance(obj, list) else 0
+    if not (n and all(isinstance(row, list) and len(row) == n
+                      and all(isinstance(e, list) and len(e) == 2 and all(map(is_number, e))
+                              for e in row)
+                      for row in obj)):
+        raise ValueError("matrix: expected a square nested list of [re, im] number pairs")
+    try:
+        a = np.array(obj, dtype=float)
+    except OverflowError:
+        raise ValueError("matrix: entry out of float range") from None
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix: entries must be finite")
+    return a.view(complex)[..., 0]
 
 
 def vector_to_json(v: np.ndarray) -> list:

@@ -171,22 +171,24 @@ def doi_apply(rho, sigma, kernel: ScalarKernel, t) -> np.ndarray:
     return u @ (k * (u.conj().T @ t @ v)) @ v.conj().T
 
 
-def derivation_form(generators, target, state, kernel: ScalarKernel) -> float:
+def derivation_form(generators, target, state: SpectralDecomposition,
+                    kernel: ScalarKernel) -> float:
     """sum_k tau(d_k Q^state(d_k)) with d_k = i[a_k, target] and Q the
-    one-state DOI of ``kernel``.
+    one-state DOI of ``kernel``; ``state`` is the state's positive
+    eigendecomposition (``positive_eigs``), which callers usually hold
+    already.
 
     With the log-quotient kernel and target = state this is the Fisher
     information of a double-commutator generator; with the tilt kernel it
     is the squared gradient norm ||grad target||^2_state.
 
-    In the eigenbasis U of ``state`` each term is
-    ``(1/n) sum_ij K_ij |(U* d_k U)_ij|^2``, so the state is diagonalized
-    and its kernel matrix K built once for all generators.
+    In the eigenbasis U of the state each term is
+    ``(1/n) sum_ij K_ij |(U* d_k U)_ij|^2``, so the kernel matrix K is
+    built once for all generators.
     """
     n = len(target)
-    dec = positive_eigs(state, "derivation_form state")
-    k = kernel.matrix(dec.eigenvalues, dec.eigenvalues)
-    u = dec.eigenvectors
+    k = kernel.matrix(state.eigenvalues, state.eigenvalues)
+    u = state.eigenvectors
     total = 0.0
     for a in generators:
         d = u.conj().T @ (1j * (a @ target - target @ a)) @ u

@@ -1,12 +1,26 @@
 """CLI surface: exit codes, key=value stdout lines, stable files."""
 
+import argparse
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from clsibound import batteries, cli, serialize
-from clsibound.exceptions import ConsistencyError, QuadratureError
+from clsibound import batteries, cli, exceptions, serialize
+from clsibound.exceptions import (
+    ConsistencyError,
+    DegenerateStartError,
+    DisconnectedGraphError,
+    GraphFormatError,
+    NonHermitianError,
+    NumericalIntegrityError,
+    PositivityError,
+    QuadratureError,
+)
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 Z4 = '{"n": 4, "edges": [[0,1],[1,2],[2,3],[0,3]]}'
 STAR = '{"n": 4, "edges": [[0,1],[0,2],[0,3]]}'
@@ -20,6 +34,14 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def grep(out, key):
@@ -159,7 +181,7 @@ class TestDecay:
         code = cli.main(["decay", "--target", "pauli", "--state", "fixed"])
         captured = capsys.readouterr()
         assert code == 5
-        assert "fixed point" in captured.err
+        assert captured.err.startswith("degenerate start: initial state is a fixed point")
 
     def test_graph_random_state_monotone(self, tmp_path, capsys):
         csv_path = tmp_path / "decay.csv"
@@ -199,6 +221,16 @@ class TestDecay:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and "not Hermitian" in lines[0]
+
+
+    @pytest.mark.parametrize("doc", [[[1]], {"a": 1}, [[[1, 0], [0, 0]]]])
+    def test_malformed_state_file_exit_two(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "rho.json", json.dumps(doc))
+        code = cli.main(["decay", "--target", "pauli", "--state", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "error: matrix: expected a square nested list of [re, im] number pairs"]
 
 
 class TestVerify:
@@ -280,3 +312,150 @@ class TestCover:
         doc = json.loads(out_path.read_text())
         assert len(doc["sequence"]) == 6
         assert doc["vertex_multiplicity"][0] == 3
+
+
+OPTIONS = {
+    "bound": {"--graph", "--out"},
+    "lindblad": {"--graph"},
+    "estimate": {"--target", "--graph", "--out", "--seed", "--restarts", "--tol",
+                 "--p", "--m"},
+    "decay": {"--target", "--graph", "--out", "--state", "--t-start", "--t-stop",
+              "--t-count"},
+    "verify": {"--only", "--dims", "--trials"},
+    "cover": {"--graph", "--out"},
+}
+
+REMOVED = [(command, option)
+           for command, options in [("bound", ["--seed", "--restarts", "--tol"]),
+                                    ("lindblad", ["--out", "--seed", "--restarts", "--tol"]),
+                                    ("cover", ["--seed", "--restarts", "--tol"]),
+                                    ("decay", ["--seed", "--restarts", "--tol"])]
+           for option in options]
+
+
+class TestOptions:
+    def test_each_subcommand_takes_only_what_it_reads(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                 for name, p in sub.choices.items()}
+        assert found == OPTIONS
+        assert sum(map(len, found.values())) == 23
+
+    @pytest.mark.parametrize("command, option", REMOVED)
+    def test_removed_option_exit_two(self, tmp_path, capsys, command, option):
+        source = (["--target", "pauli"] if command == "decay"
+                  else ["--graph", write(tmp_path, "g.json", Z4)])
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *source, option, "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--target", "pauli", "--graph", "G"],
+        ["decay", "--target", "pauli", "--graph", "G"],
+        ["estimate", "--target", "pauli", "--p", "1.5", "--m", "2"],
+        ["estimate"],
+        ["decay"],
+        ["estimate", "--graph", "G", "--p", "1.5"],
+        ["estimate", "--graph", "G", "--m", "2"],
+        ["estimate", "--target", "graph"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_conflicting_or_missing_choice_exit_two(self, tmp_path, capsys, argv):
+        graph = write(tmp_path, "g.json", TRIANGLE)
+        assert exit_code([graph if a == "G" else a for a in argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--target", "pauli", "--seed", "-1"],
+        ["estimate", "--target", "pauli", "--seed", str(2 ** 64)],
+        ["estimate", "--target", "pauli", "--restarts", "0"],
+        ["estimate", "--target", "pauli", "--m", "0"],
+        ["estimate", "--target", "pauli", "--tol", "nan"],
+        ["estimate", "--target", "pauli", "--tol", "inf"],
+        ["estimate", "--target", "pauli", "--tol=-1e-8"],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "-3"],
+        ["verify", "--dims", "1"],
+    ], ids=lambda argv: " ".join(argv[1:]))
+    def test_out_of_range_number_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_range_ends_parse(self):
+        args = cli.build_parser().parse_args(
+            ["estimate", "--target", "pauli", "--seed", str(2 ** 64 - 1),
+             "--restarts", "1", "--tol", "0", "--m", "1"])
+        assert (args.seed, args.restarts, args.tol, args.m) == (2 ** 64 - 1, 1, 0.0, 1)
+        args = cli.build_parser().parse_args(["verify", "--dims", "2", "--trials", "1"])
+        assert (args.dims, args.trials) == (2, 1)
+
+    def test_directory_as_graph_exit_two(self, tmp_path, capsys):
+        code = cli.main(["bound", "--graph", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_disconnected_sandwich_exit_three(self, tmp_path, capsys):
+        code = cli.main(["estimate", "--graph", write(tmp_path, "g.json", DISCONNECTED)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.splitlines() == ["graph is disconnected"]
+
+
+def _row(exc_type):
+    return next(row for row in cli.ERRORS if issubclass(exc_type, row[0]))
+
+
+class TestExitCodes:
+    def test_every_exception_class_has_its_row(self):
+        classes = {c for c in vars(exceptions).values()
+                   if isinstance(c, type) and c.__module__ == exceptions.__name__}
+        assert {c: _row(c)[1] for c in classes} == {
+            DisconnectedGraphError: 3, GraphFormatError: 2, NonHermitianError: 2,
+            PositivityError: 2, NumericalIntegrityError: 5, DegenerateStartError: 5,
+            ConsistencyError: 7, QuadratureError: 7}
+
+    def test_no_row_is_shadowed_by_an_earlier_one(self):
+        for row in cli.ERRORS:
+            for exc_type in row[0]:
+                assert _row(exc_type) is row
+
+    def test_codes_and_lines_are_documented(self):
+        readme = README.read_text().split("Exit codes", 1)[1]
+        readme_rows = dict(re.findall(r"^\| `(\d)` \|(.*)$", readme, re.M))
+        docstring = cli.__doc__.split("Exit codes", 1)[1]
+        docstring_codes = set(re.findall(r"^  (\d)  ", docstring, re.M))
+        for _, code, line in cli.ERRORS:
+            assert str(code) in docstring_codes
+            assert f"`{line.replace('{}', '...')}`" in readme_rows[str(code)]
+
+    @pytest.mark.parametrize("error, code, line", [
+        (DisconnectedGraphError("forced"), 3, "graph is disconnected"),
+        (GraphFormatError("forced"), 2, "error: forced"),
+        (KeyError("forced"), 2, "error: 'forced'"),
+        (PermissionError("forced"), 2, "error: forced"),
+        (NumericalIntegrityError("forced"), 5, "decay error: forced"),
+        (DegenerateStartError("forced"), 5, "degenerate start: forced"),
+        (QuadratureError("forced"), 7, "numerical error: forced"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_first_matching_row_sets_code_and_line(self, capsys, monkeypatch,
+                                                   error, code, line):
+        def raising():
+            raise error
+
+        monkeypatch.setitem(batteries.REGISTRY, "fisher-forms", raising)
+        assert cli.main(["verify", "--only", "fisher-forms"]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_unlisted_error_propagates(self, monkeypatch):
+        def raising():
+            raise RuntimeError("not in the table")
+
+        monkeypatch.setitem(batteries.REGISTRY, "fisher-forms", raising)
+        with pytest.raises(RuntimeError, match="not in the table"):
+            cli.main(["verify", "--only", "fisher-forms"])

@@ -168,6 +168,20 @@ class TestDerivationFormCheck:
         with pytest.raises(ConsistencyError, match="p-Fisher forms disagree"):
             entropy.p_fisher(_mislabelled_pauli(), rho, 1.5)
 
+    def test_cross_check_reuses_the_state_decomposition(self, monkeypatch):
+        s = lindblad.pauli_system()
+        rho = rand_state(np.random.default_rng(12), 2)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        entropy.fisher_lindblad(s, rho)
+        assert len(calls) == 1
+
 
 class TestPFisher:
     def test_kernel_state(self):

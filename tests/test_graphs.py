@@ -51,6 +51,16 @@ class TestLoadGraph:
         ('{"n":1,"edges":[]}', ">= 2"),
         ('not json', "invalid JSON"),
         ('{"edges":[[0,1]]}', 'requires "n"'),
+        ('{"n":3,"edges":5}', "edges must be a list"),
+        ('{"n":3,"edges":[5]}', "expected \\[u, v\\]"),
+        ('{"n":3,"edges":[[0,1,[2]]]}', "weight must be a number"),
+        ('{"n":3,"edges":[[0,1,"2"]]}', "weight must be a number"),
+        pytest.param('{"n":3,"edges":[[0,1,1' + "0" * 400 + ']]}', "out of range",
+                     id="weight-1e400"),
+        ('{"n":3,"edges":[[0,1]],"measure":"ab"}', "measure must be a list"),
+        ('{"n":3,"edges":[[0,1]],"measure":[0.5,0.25,"x"]}', "must be a number"),
+        pytest.param("1" * 5000, "invalid JSON", id="5000-digit-integer"),
+        ('{"n":1000001,"edges":[]}', "exceeds 1000000"),
     ])
     def test_rejects_malformed(self, doc, fragment):
         with pytest.raises(GraphFormatError, match=fragment):

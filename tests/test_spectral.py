@@ -135,7 +135,8 @@ class TestDerivationForm:
     def test_tilt_closed_form(self):
         # i[X/2, Z] = Y, so the form is k_tilt(1.5, 0.5) = 1/ln 3
         rho = np.diag([1.5, 0.5]).astype(complex)
-        value = spectral.derivation_form([X / 2], Z, rho, ScalarKernel.tilt())
+        value = spectral.derivation_form([X / 2], Z, spectral.positive_eigs(rho, "rho"),
+                                         ScalarKernel.tilt())
         assert value == pytest.approx(1.0 / np.log(3.0), rel=1e-14)
 
     @pytest.mark.parametrize("kernel", [ScalarKernel.log_quotient(), ScalarKernel.tilt(),
@@ -151,7 +152,8 @@ class TestDerivationForm:
                 ds = [1j * (a @ target - target @ a) for a in gens]
                 reference = sum(float(np.trace(d @ doi_apply(state, state, kernel, d)).real)
                                 for d in ds) / n
-                value = spectral.derivation_form(gens, target, state, kernel)
+                value = spectral.derivation_form(
+                    gens, target, spectral.positive_eigs(state, "state"), kernel)
                 assert value == pytest.approx(reference, rel=1e-13)
 
 
