@@ -10,7 +10,7 @@ graphs     graph ingestion, spanning trees, traversal covers, certified
            combinatorial bounds
 entropy    entropy and Fisher-information functionals (and p-variants)
 lindblad   edge generators, graph generators on M_n, conditional
-           expectations, collective systems, gradient-estimate checker
+           expectations, gradient-estimate checker
 estimator  multistart ratio minimization, decay curves, sandwich harness
 batteries  named verification batteries behind ``clsibound verify``
 cli        command-line interface
@@ -44,7 +44,6 @@ from .graphs import (
 )
 from .lindblad import (
     ConditionalExpectation,
-    collective_lindblad,
     depolarizing,
     diagonal_expectation,
     edge_expectation,
@@ -85,7 +84,6 @@ __all__ = [
     "certified_bound",
     "classical_mlsi_estimate",
     "clsi_probe",
-    "collective_lindblad",
     "cpsi_estimate",
     "cyclic_bound",
     "decay_curve",

@@ -598,7 +598,7 @@ def battery_graph_bounds(trials: int = 40) -> BatteryResult:
                     total = sum(w for _, _, w in subset)
                     best_total = total if best_total is None else min(best_total, total)
             ok &= best_total is not None
-            ok &= abs(mst.total_weight() - best_total) <= 1e-9
+            ok &= abs(sum(w for _, _, w in mst.edges) - best_total) <= 1e-9
     return BatteryResult("graph-bounds", ok and worst <= 1e-15, worst,
                          f"{trials} random graphs")
 

@@ -46,6 +46,11 @@ EXIT_DECAY = 5
 EXIT_VERIFY = 6
 EXIT_NUMERICAL = 7
 
+# Largest |d_i| of an intspec:d0,d1,... target: keeps the generator's rates
+# (d_i - d_j)^2 <= 4e12, far from overflow, and its eigenvalues' rounding
+# far below the integer-spectrum tolerance.
+INTSPEC_MAX = 1e6
+
 # (exception types, exit code, stderr line): the first matching row wins.
 ERRORS = (
     ((DisconnectedGraphError,), EXIT_DISCONNECTED, "graph is disconnected"),
@@ -85,11 +90,24 @@ def _build_target(args):
     elif name.startswith("depolarizing:"):
         s = lindblad.depolarizing(int(name.split(":", 1)[1]))
     elif name.startswith("intspec:"):
-        diag = [float(x) for x in name.split(":", 1)[1].split(",")]
-        s = lindblad.integer_spectrum_lindblad(np.diag(diag).astype(complex))
+        s = lindblad.integer_spectrum_lindblad(np.diag(_intspec(name)).astype(complex))
     else:
         raise GraphFormatError(f"unknown target {name!r}")
     return s, fixed_point_dim(s).expectation
+
+
+def _intspec(name: str) -> list:
+    """The diagonal d0, d1, ... of ``intspec:d0,d1,...`` as finite floats of
+    magnitude at most INTSPEC_MAX."""
+    try:
+        diag = [float(x) for x in name.split(":", 1)[1].split(",")]
+    except ValueError:
+        diag = None
+    if diag is None or not all(math.isfinite(d) and abs(d) <= INTSPEC_MAX
+                               for d in diag):
+        raise ValueError(f"{name}: entries must be finite numbers of magnitude "
+                         f"at most {INTSPEC_MAX:g}")
+    return diag
 
 
 def _initial_state(spec: str, s) -> np.ndarray:
@@ -202,11 +220,8 @@ def cmd_cover(args) -> int:
     check = graphs.verify_cover(cover, cover.induced_tree_graph())
     doc = {
         "schema_version": 1,
-        "tree_edges": [[u, v] for u, v in cover.tree_edges],
-        "sequence": list(cover.sequence),
-        "mu_prime": serialize.vector_to_json(cover.mu_prime),
-        "w_prime": [[u, v, cover.w_prime[(u, v)]] for u, v in cover.tree_edges],
-        "vertex_multiplicity": [int(m) for m in cover.m_vertex],
+        "tree_edges": [[u, v] for u, v, _ in mst.edges],
+        **cover.to_json_dict(),
         "verified": check.ok,
     }
     text = serialize.dumps(doc, indent=2) + "\n"

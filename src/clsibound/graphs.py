@@ -4,14 +4,16 @@ constant.
 
 The certificate chain is: minimum spanning tree -> closed preorder-traversal
 cover by a cycle of length 2l -> measure/weight comparison ratios -> numeric
-lower bound -> transfer to the matrix generator.
+lower bound -> transfer to the matrix generator.  A spanning tree is a
+``WeightedGraph`` that carries its host graph's weights and measure; a cover
+is serialized by ``CyclicCover.to_json_dict`` alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +32,7 @@ COVER_TOL = 1e-12
 class WeightedGraph:
     """Undirected graph with positive edge weights and a strictly positive
     probability measure on vertices.  Edges are stored as (u, v, w) with
-    u < v; no self-loops or duplicates."""
+    u < v in ascending order; no self-loops or duplicates."""
 
     n: int
     edges: tuple
@@ -42,14 +44,6 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def weight(self, u: int, v: int) -> float:
-        if u > v:
-            u, v = v, u
-        for a, b, w in self.edges:
-            if (a, b) == (u, v):
-                return w
-        raise KeyError(f"({u},{v}) is not an edge")
 
     def adjacency(self) -> list:
         nbrs = [[] for _ in range(self.n)]
@@ -184,48 +178,10 @@ def is_connected(g: WeightedGraph) -> bool:
     return all(seen)
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """Spanning tree of a parent graph; weights are the parent's."""
-
-    graph: WeightedGraph
-    edges: tuple  # (u, v) pairs, u < v
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    # number of edges l and max in-tree degree d of the certificate
-    @property
-    def l(self) -> int:  # noqa: E743 - matches the certificate field name
-        return len(self.edges)
-
-    @property
-    def max_degree(self) -> int:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return max(deg)
-
-    def adjacency(self) -> list:
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for lst in nbrs:
-            lst.sort()
-        return nbrs
-
-    def total_weight(self) -> float:
-        return sum(self.graph.weight(u, v) for u, v in self.edges)
-
-
-def kruskal_mst(g: WeightedGraph) -> SpanningTree:
-    """Minimum spanning tree; ties broken by (weight, u, v) lexicographic
-    edge order so certificates are reproducible."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
+def kruskal_mst(g: WeightedGraph) -> WeightedGraph:
+    """Minimum spanning tree on g's vertices, with g's weights and measure;
+    ties broken by (weight, u, v) lexicographic edge order so certificates
+    are reproducible."""
     parent = list(range(g.n))
 
     def find(x):
@@ -239,10 +195,12 @@ def kruskal_mst(g: WeightedGraph) -> SpanningTree:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            chosen.append((u, v))
+            chosen.append((u, v, w))
             if len(chosen) == g.n - 1:
                 break
-    return SpanningTree(graph=g, edges=tuple(sorted(chosen)))
+    if len(chosen) < g.n - 1:
+        raise DisconnectedGraphError("graph is disconnected")
+    return WeightedGraph(n=g.n, edges=tuple(sorted(chosen)), measure=g.measure)
 
 
 @dataclass(frozen=True)
@@ -252,25 +210,30 @@ class CyclicCover:
 
     ``sequence[i]`` is the tree vertex at cycle position i (the covering map
     phi); consecutive positions, including the wraparound, map to tree
-    edges.  ``mu_prime`` and ``w_prime`` are the transported measure
-    m(x)/(2l) and edge weights m(x,y) (= 2) on the tree.
+    edges.  ``m_vertex`` and ``m_edge`` count how often the cycle visits
+    each tree vertex and edge; the transported measure and edge weights on
+    the tree are ``mu_prime`` = m(x)/(2l) and ``w_prime`` = m(x,y) (= 2).
     """
 
-    n: int
-    tree_edges: tuple
+    tree: WeightedGraph
     sequence: tuple
-    mu_prime: np.ndarray
-    w_prime: dict
     m_vertex: np.ndarray
     m_edge: dict
 
     def __post_init__(self):
-        self.mu_prime.setflags(write=False)
         self.m_vertex.setflags(write=False)
 
     @property
     def cycle_length(self) -> int:
         return len(self.sequence)
+
+    @property
+    def mu_prime(self) -> np.ndarray:
+        return self.m_vertex / self.cycle_length
+
+    @property
+    def w_prime(self) -> dict:
+        return {e: float(m) for e, m in self.m_edge.items()}
 
     def cycle_edges(self):
         seq = self.sequence
@@ -280,53 +243,58 @@ class CyclicCover:
     def induced_tree_graph(self) -> WeightedGraph:
         """The tree re-equipped with (mu_prime, w_prime) -- the object the
         uniform unit-weight cycle covers."""
-        edges = [(u, v, self.w_prime[(u, v)]) for u, v in self.tree_edges]
-        return make_graph(self.n, edges, self.mu_prime)
+        edges = [(u, v, w) for (u, v), w in self.w_prime.items()]
+        return make_graph(self.tree.n, edges, self.mu_prime)
+
+    def to_json_dict(self) -> dict:
+        """The cover as certificates and ``clsibound cover`` write it."""
+        return {
+            "sequence": list(self.sequence),
+            "mu_prime": serialize.vector_to_json(self.mu_prime),
+            "w_prime": [[u, v, w] for (u, v), w in self.w_prime.items()],
+            "vertex_multiplicity": [int(m) for m in self.m_vertex],
+        }
 
 
-def traversal_cover(tree: SpanningTree, root: Optional[int] = None) -> CyclicCover:
-    """Closed preorder walk of the tree: step to the smallest unvisited
-    child, else back to the parent, recording every step; the walk closes
-    at the root after exactly 2l steps.
+def traversal_cover(tree: WeightedGraph, root: Optional[int] = None) -> CyclicCover:
+    """Closed preorder walk of a spanning tree: step to the smallest
+    unvisited child, else back to the parent, recording every step; the walk
+    closes at the root after exactly 2l steps.
 
-    ``root=None`` picks the smallest-index degree-one vertex.
+    ``root=None`` picks the smallest-index degree-one vertex.  Raises
+    ValueError unless ``tree`` is connected with n - 1 edges, n >= 2.
     """
-    if tree.n < 2:
-        raise ValueError("traversal cover needs a tree with at least 2 vertices")
+    if tree.n < 2 or tree.edge_count != tree.n - 1 or not is_connected(tree):
+        raise ValueError("traversal cover needs a spanning tree on >= 2 vertices")
     nbrs = tree.adjacency()
     if root is None:
         root = next(x for x in range(tree.n) if len(nbrs[x]) == 1)
     elif not (0 <= root < tree.n):
         raise ValueError(f"root {root} not in tree")
 
-    seq: list = []
-
-    def walk(x: int, parent: int) -> None:
-        seq.append(x)
-        for child in nbrs[x]:
+    # Each stack entry is (vertex, its parent, iterator over its ascending
+    # neighbours); a vertex is recorded on entry and again after each child.
+    seq = [root]
+    stack = [(root, -1, iter(nbrs[root]))]
+    while stack:
+        x, parent, children = stack[-1]
+        for child, _ in children:
             if child != parent:
-                walk(child, x)
-                seq.append(x)
+                seq.append(child)
+                stack.append((child, x, iter(nbrs[child])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                seq.append(stack[-1][0])
+    seq.pop()  # the return to the root is the cycle wraparound
 
-    walk(root, -1)
-    assert seq[-1] == root
-    seq = seq[:-1]  # the return to the root is the cycle wraparound
-    two_l = 2 * tree.l
-    assert len(seq) == two_l
-
-    m_vertex = np.zeros(tree.n, dtype=int)
-    for x in seq:
-        m_vertex[x] += 1
-    m_edge: dict = {e: 0 for e in tree.edges}
-    for i in range(two_l):
-        a, b = seq[i], seq[(i + 1) % two_l]
-        key = (a, b) if a < b else (b, a)
-        m_edge[key] += 1
-    mu_prime = m_vertex / two_l
-    w_prime = {e: float(m_edge[e]) for e in tree.edges}
-    return CyclicCover(n=tree.n, tree_edges=tree.edges, sequence=tuple(seq),
-                       mu_prime=mu_prime, w_prime=w_prime,
-                       m_vertex=m_vertex, m_edge=m_edge)
+    m_vertex = np.bincount(seq, minlength=tree.n)
+    m_edge: dict = {(u, v): 0 for u, v, _ in tree.edges}
+    for a, b in zip(seq, seq[1:] + seq[:1]):
+        m_edge[(a, b) if a < b else (b, a)] += 1
+    return CyclicCover(tree=tree, sequence=tuple(seq), m_vertex=m_vertex,
+                       m_edge=m_edge)
 
 
 @dataclass(frozen=True)
@@ -439,18 +407,17 @@ def certified_bound(g: WeightedGraph) -> BoundCertificate:
     The certified value need not grow when edges are added (extra edges can
     reshape the MST); only positivity and determinism are guaranteed.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is disconnected")
     mst = kruskal_mst(g)
     cover = traversal_cover(mst)
     check = verify_cover(cover, cover.induced_tree_graph())
     assert check.ok, f"traversal cover failed self-verification: {check.reasons}"
 
-    l = mst.l
-    d = mst.max_degree
-    ratio_mu = float(np.max(g.measure / cover.mu_prime))
-    ratio_mu_inv = float(np.max(cover.mu_prime / g.measure))
-    ratio_w = max(cover.w_prime[(u, v)] / g.weight(u, v) for u, v in mst.edges)
+    l = mst.edge_count
+    d = int(mst.degrees().max())
+    mu_prime, w_prime = cover.mu_prime, cover.w_prime
+    ratio_mu = float(np.max(g.measure / mu_prime))
+    ratio_mu_inv = float(np.max(mu_prime / g.measure))
+    ratio_w = max(w_prime[(u, v)] / w for u, v, w in mst.edges)
 
     bounds = {}
     provenance = []
@@ -488,15 +455,10 @@ def certified_bound(g: WeightedGraph) -> BoundCertificate:
         mst={
             "l": l,
             "max_degree": d,
-            "edges": [[u, v] for u, v in mst.edges],
-            "total_weight": mst.total_weight(),
+            "edges": [[u, v] for u, v, _ in mst.edges],
+            "total_weight": sum(w for _, _, w in mst.edges),
         },
-        cover={
-            "sequence": list(cover.sequence),
-            "mu_prime": serialize.vector_to_json(cover.mu_prime),
-            "w_prime": [[u, v, cover.w_prime[(u, v)]] for u, v in mst.edges],
-            "vertex_multiplicity": [int(m) for m in cover.m_vertex],
-        },
+        cover=cover.to_json_dict(),
         ratios={
             "dmu_over_dmu_prime": ratio_mu,
             "dmu_prime_over_dmu": ratio_mu_inv,

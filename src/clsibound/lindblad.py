@@ -1,7 +1,7 @@
 """Graph-indexed matrix generators and conditional expectations: edge
 antisymmetric generators, the graph double-commutator generator on M_n,
-Schur-mask pinchings, kernel projections, collective multi-site systems, and
-the worked two-level examples.
+Schur-mask pinchings, kernel projections, and the worked two-level
+examples.
 
 The n = 2 single-edge case is a documented anomaly: the commutant of the one
 edge generator in M_2 is two-dimensional, so the fixed-point dimension is 2
@@ -34,7 +34,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-COLLECTIVE_DIM_CAP = 64
 SPHERE_TRANSFER_CONSTANT = 1.0 / (5.0 * math.pi ** 2)
 # Largest distance of an integer-spectrum generator's eigenvalues from the
 # integers, and the largest gradient-estimate residual that still passes.
@@ -219,43 +218,6 @@ def integer_spectrum_lindblad(x) -> SpectralSuperoperator:
             f"(tol {INTEGER_SPECTRUM_TOL:.0e})")
     s = superop_from_generators([x], label="integer-spectrum")
     return replace(s, certified_lower=SPHERE_TRANSFER_CONSTANT)
-
-
-def _embed_site(op: np.ndarray, site: int, sites: int) -> np.ndarray:
-    d = op.shape[0]
-    out = np.array([[1.0 + 0.0j]])
-    for j in range(sites):
-        out = np.kron(out, op if j == site else np.eye(d))
-    return out
-
-
-def collective_lindblad(x_list: Sequence[np.ndarray], m: int) -> SpectralSuperoperator:
-    """Per-site collective generator on m copies of the doubled space.
-
-    Each Hermitian X_k is doubled to diag(X_k, X_k^T) (plain transpose in
-    the computational basis) and the generator is the per-site sum
-    sum_k sum_j [pi_j(X_hat_k), [pi_j(X_hat_k), .]] on ((2n)^m)-dimensional
-    space, capped at total dimension 64.
-    """
-    if m < 1:
-        raise ValueError("site count must be >= 1")
-    xs = [require_hermitian(x, what=f"collective generator {k}")
-          for k, x in enumerate(x_list)]
-    n = xs[0].shape[0]
-    total_dim = (2 * n) ** m
-    if total_dim > COLLECTIVE_DIM_CAP:
-        raise ValueError(
-            f"total dimension (2*{n})^{m} = {total_dim} exceeds the cap "
-            f"{COLLECTIVE_DIM_CAP}")
-    gens = []
-    for x in xs:
-        doubled = np.zeros((2 * n, 2 * n), dtype=complex)
-        doubled[:n, :n] = x
-        doubled[n:, n:] = x.T
-        for j in range(m):
-            gens.append(_embed_site(doubled, j, m))
-    return superop_from_generators(gens, dim=total_dim,
-                                   label=f"collective(m={m})")
 
 
 @dataclass(frozen=True)

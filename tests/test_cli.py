@@ -4,6 +4,7 @@ import argparse
 import json
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ P3 = '{"n": 3, "edges": [[0,1],[1,2]]}'
 K2 = '{"n": 2, "edges": [[0,1]]}'
 TRIANGLE = '{"n": 3, "edges": [[0,1],[1,2],[0,2]]}'
 DISCONNECTED = '{"n": 4, "edges": [[0,1],[2,3]]}'
+PATH2000 = json.dumps({"n": 2000, "edges": [[i, i + 1] for i in range(1999)]})
 
 
 def write(tmp_path, name, text):
@@ -91,6 +93,13 @@ class TestBound:
         assert doc["schema_version"] == 1
         assert doc["best_source"] == "cyclic-special"
 
+    def test_long_path(self, tmp_path, capsys):
+        code = cli.main(["bound", "--graph", write(tmp_path, "g.json", PATH2000)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert float(grep(out, "best")) == pytest.approx(1.0 / (45.0 * 1999 ** 2),
+                                                         rel=1e-12)
+
 
 class TestLindbladCommand:
     def test_transfer_printed(self, tmp_path, capsys):
@@ -151,6 +160,17 @@ class TestEstimate:
 
     def test_unknown_target(self, capsys):
         assert cli.main(["estimate", "--target", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("spec", ["intspec:nan,1", "intspec:0,inf",
+                                      "intspec:0,1e300"])
+    def test_intspec_rejects_non_finite_or_huge(self, spec, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["estimate", "--target", spec, "--restarts", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: {spec}: entries must be finite numbers "
+                                "of magnitude at most 1e+06\n")
 
     def test_report_byte_identical(self, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
@@ -312,6 +332,14 @@ class TestCover:
         doc = json.loads(out_path.read_text())
         assert len(doc["sequence"]) == 6
         assert doc["vertex_multiplicity"][0] == 3
+
+    def test_long_path(self, tmp_path, capsys):
+        code = cli.main(["cover", "--graph", write(tmp_path, "g.json", PATH2000)])
+        out = capsys.readouterr().out
+        assert code == 0
+        doc = json.loads(out.rsplit("verified=", 1)[0])
+        assert len(doc["sequence"]) == 2 * 1999
+        assert grep(out, "verified") == "true"
 
 
 OPTIONS = {

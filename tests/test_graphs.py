@@ -1,5 +1,6 @@
 """Graph ingestion, spanning trees, traversal covers, certified bounds."""
 
+import dataclasses
 import itertools
 import math
 
@@ -85,17 +86,25 @@ class TestConnectivity:
 class TestKruskal:
     def test_unit_triangle_tie_break(self):
         mst = kruskal_mst(make_graph(3, [(0, 1), (1, 2), (0, 2)]))
-        assert mst.edges == ((0, 1), (0, 2))
-        assert mst.l == 2 and mst.max_degree == 2
+        assert mst.edges == ((0, 1, 1.0), (0, 2, 1.0))
+        assert mst.edge_count == 2 and mst.degrees().max() == 2
 
     def test_star_unique_tree(self):
         mst = kruskal_mst(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
-        assert mst.edges == ((0, 1), (0, 2), (0, 3))
-        assert mst.l == 3 and mst.max_degree == 3
+        assert mst.edges == ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0))
+        assert mst.edge_count == 3 and mst.degrees().max() == 3
 
     def test_weighted_triangle(self):
         g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
-        assert kruskal_mst(g).edges == ((0, 1), (1, 2))
+        assert kruskal_mst(g).edges == ((0, 1, 1.0), (1, 2, 1.0))
+
+    def test_carries_host_measure_and_weights(self):
+        g = make_graph(4, [(0, 1, 0.5), (1, 2, 2.5), (2, 3, 0.75), (0, 3, 4.0),
+                           (0, 2, 1.5)], [0.1, 0.2, 0.3, 0.4])
+        mst = kruskal_mst(g)
+        assert mst.n == g.n and mst.measure is g.measure
+        assert not mst.measure.flags.writeable
+        assert mst.edges == ((0, 1, 0.5), (0, 2, 1.5), (2, 3, 0.75))
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -117,7 +126,8 @@ class TestKruskal:
                 for sub in itertools.combinations(g.edges, n - 1)
                 if is_connected(graphs.WeightedGraph(n=n, edges=tuple(sub),
                                                      measure=g.measure.copy())))
-            assert kruskal_mst(g).total_weight() == pytest.approx(best, abs=1e-12)
+            total = sum(w for _, _, w in kruskal_mst(g).edges)
+            assert total == pytest.approx(best, abs=1e-12)
 
 
 class TestTraversalCover:
@@ -126,7 +136,7 @@ class TestTraversalCover:
         cover = traversal_cover(mst, root=0)
         assert cover.sequence == (0, 1, 2, 1)
         np.testing.assert_allclose(cover.mu_prime, [0.25, 0.5, 0.25])
-        assert all(v == 2.0 for v in cover.w_prime.values())
+        assert cover.w_prime == {(0, 1): 2.0, (1, 2): 2.0}
 
     def test_single_edge(self):
         cover = traversal_cover(kruskal_mst(make_graph(2, [(0, 1)])))
@@ -146,6 +156,21 @@ class TestTraversalCover:
         with pytest.raises(ValueError):
             traversal_cover(mst, root=5)
 
+    @pytest.mark.parametrize("n,edges", [
+        (3, [(0, 1), (1, 2), (0, 2)]),
+        (4, [(0, 1), (1, 2), (0, 2)]),
+        (4, [(0, 1), (2, 3)]),
+    ], ids=["cycle", "cycle-with-n-1-edges", "forest"])
+    def test_rejects_non_tree(self, n, edges):
+        with pytest.raises(ValueError, match="spanning tree"):
+            traversal_cover(make_graph(n, edges))
+
+    def test_long_path_without_recursion(self):
+        n = 3000
+        cover = traversal_cover(kruskal_mst(make_graph(n, [(i, i + 1) for i in range(n - 1)])))
+        assert cover.sequence == tuple(range(n)) + tuple(range(n - 2, 0, -1))
+        assert verify_cover(cover, cover.induced_tree_graph()).ok
+
 
 class TestVerifyCover:
     def make_cover(self):
@@ -158,11 +183,8 @@ class TestVerifyCover:
 
     def test_broken_edge_reported(self):
         cover = self.make_cover()
-        bad = graphs.CyclicCover(
-            n=cover.n, tree_edges=cover.tree_edges,
-            sequence=cover.sequence[:-1] + (cover.sequence[0],),
-            mu_prime=cover.mu_prime.copy(), w_prime=cover.w_prime,
-            m_vertex=cover.m_vertex.copy(), m_edge=cover.m_edge)
+        bad = dataclasses.replace(
+            cover, sequence=cover.sequence[:-1] + (cover.sequence[0],))
         check = verify_cover(bad, cover.induced_tree_graph())
         assert not check.ok and "edge preserving" in check.reasons
 
@@ -172,16 +194,16 @@ class TestVerifyCover:
         mu[0] += 1e-6
         mu[1] -= 1e-6
         target = graphs.WeightedGraph(
-            n=cover.n,
-            edges=tuple((u, v, cover.w_prime[(u, v)]) for u, v in cover.tree_edges),
+            n=cover.tree.n,
+            edges=tuple((u, v, w) for (u, v), w in cover.w_prime.items()),
             measure=mu)
         check = verify_cover(cover, target)
         assert not check.ok and check.reasons == ("measure preserving",)
 
     def test_perturbed_weight_reported(self):
         cover = self.make_cover()
-        edges = tuple((u, v, 3.0) for u, v in cover.tree_edges)
-        target = graphs.WeightedGraph(n=cover.n, edges=edges,
+        edges = tuple((u, v, 3.0) for u, v, _ in cover.tree.edges)
+        target = graphs.WeightedGraph(n=cover.tree.n, edges=edges,
                                       measure=cover.mu_prime.copy())
         check = verify_cover(cover, target)
         assert not check.ok and "weight preserving" in check.reasons

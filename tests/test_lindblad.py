@@ -1,5 +1,5 @@
 """Edge generators, conditional expectations, graph generators on M_n,
-collective systems, gradient-estimate checker."""
+gradient-estimate checker."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from clsibound.lindblad import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    collective_lindblad,
     compose_pinchings,
     depolarizing,
     diagonal_expectation,
@@ -205,37 +204,6 @@ class TestWorkedSystems:
     def test_integer_spectrum_rejects(self):
         with pytest.raises(ValueError, match="integers"):
             integer_spectrum_lindblad(np.diag([0.0, 1.3]).astype(complex))
-
-
-class TestCollective:
-    def test_single_site_block_diagonal(self):
-        rng = np.random.default_rng(8)
-        x = PAULI_X / 2
-        s = collective_lindblad([x], 1)
-        a = rand_state(rng, 2)
-        b = rand_state(rng, 2)
-        block = np.zeros((4, 4), dtype=complex)
-        block[:2, :2], block[2:, 2:] = a, b
-        out = s.apply(block)
-        single = lambda gen, r: gen @ gen @ r + r @ gen @ gen - 2 * gen @ r @ gen
-        np.testing.assert_allclose(out[:2, :2], single(x, a), atol=1e-12)
-        np.testing.assert_allclose(out[2:, 2:], single(x.T, b), atol=1e-12)
-        # the two blocks have equal semigroup spectra (transpose conjugation)
-        np.testing.assert_allclose(np.linalg.eigvalsh(single(x, a)),
-                                   np.linalg.eigvalsh(single(x.T, a.T)), atol=1e-12)
-
-    def test_trivial_generators(self):
-        s = collective_lindblad([np.array([[2.0]])], 2)
-        assert np.abs(s.matrix).max() < 1e-14
-
-    def test_two_sites_ergodic_blocks(self):
-        s = collective_lindblad([PAULI_X / 2, PAULI_Y / 2], 2)
-        assert s.dim == 16
-        assert spectral_gap(s) > 0
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            collective_lindblad([PAULI_X / 2], 4)
 
 
 class TestGradientEstimate:
