@@ -582,14 +582,14 @@ def battery_graph_bounds(trials: int = 40) -> BatteryResult:
                                   weighted=trial % 3 == 1, measured=trial % 3 == 2)
         cert = graphs.certified_bound(g)
         ok &= cert.best > 0
-        cover = graphs.traversal_cover(graphs.kruskal_mst(g))
+        mst = graphs.kruskal_mst(g)
+        cover = graphs.traversal_cover(mst)
         check = graphs.verify_cover(cover, cover.induced_tree_graph())
         ok &= check.ok
         if g.is_uniform() and g.has_unit_weights() and "corollary-worst-case" in cert.bounds:
             gap = cert.bounds["corollary-worst-case"] - cert.bounds["tree-general"]
             worst = max(worst, gap)
         if n <= 8 and g.edge_count <= 14:
-            mst = graphs.kruskal_mst(g)
             best_total = None
             for subset in itertools.combinations(g.edges, n - 1):
                 candidate = graphs.WeightedGraph(

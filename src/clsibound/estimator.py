@@ -523,6 +523,13 @@ def gap_seed_classical(a: np.ndarray) -> np.ndarray:
     return GAP_SEED_SCALE * u[:, idx]
 
 
+def ordering_holds(lhs: float, rhs: float, tol: float) -> bool:
+    """lhs <= rhs up to the ordering slack (SANDWICH_BASE_SLACK + tol) *
+    max(1, |rhs|): absolute while |rhs| <= 1, relative above, so rounding in
+    a large rate is not read as a violation."""
+    return bool(lhs <= rhs + (SANDWICH_BASE_SLACK + tol) * max(1.0, abs(rhs)))
+
+
 @dataclass
 class SandwichReport:
     """Certified bounds vs numeric estimates vs spectral-gap caps for one
@@ -575,9 +582,11 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
         classical estimate <= 2 * classical gap,
         matrix estimate <= 2 * matrix gap,
 
-    each up to slack = 1e-6 + optimizer tol.  The matrix search is warm
-    started with the classical witness embedded diagonally, so the subset
-    ordering is inherited rather than hoped for.
+    each by ``ordering_holds``: up to slack = 1e-6 + optimizer tol, scaled
+    by the right-hand side where that exceeds 1 (the report stores the
+    unscaled slack).  The matrix search is warm started with the classical
+    witness embedded diagonally, so the subset ordering is inherited rather
+    than hoped for.
     """
     opts = opts or EstimateOptions()
     cert = certified_bound(g)  # first, so a disconnected graph of any size says so
@@ -606,7 +615,8 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
     orderings = []
 
     def add(name, lhs, rhs):
-        orderings.append((name, float(lhs), float(rhs), bool(lhs <= rhs + slack)))
+        lhs, rhs = float(lhs), float(rhs)
+        orderings.append((name, lhs, rhs, ordering_holds(lhs, rhs, opts.tol)))
 
     add("lindblad-certified<=matrix-estimate", cert.lindblad_lower, matrix.value)
     add("matrix-estimate<=classical-estimate", matrix.value, classical.value)

@@ -247,7 +247,8 @@ class CyclicCover:
         return make_graph(self.tree.n, edges, self.mu_prime)
 
     def to_json_dict(self) -> dict:
-        """The cover as certificates and ``clsibound cover`` write it."""
+        """The cover as its one writer, the ``"cover"`` key of
+        ``certified_bound``'s certificate, records it."""
         return {
             "sequence": list(self.sequence),
             "mu_prime": serialize.vector_to_json(self.mu_prime),
@@ -421,7 +422,11 @@ def certified_bound(g: WeightedGraph) -> BoundCertificate:
 
     bounds = {}
     provenance = []
-    tree_general = 4.0 / (45.0 * l * l * ratio_mu * ratio_mu_inv * ratio_w)
+    denominator = 45.0 * l * l * ratio_mu * ratio_mu_inv * ratio_w
+    # An overflowed product would make the bound 0; dividing in turn keeps a
+    # bound below the normal float range positive.
+    tree_general = (4.0 / denominator if math.isfinite(denominator) else
+                    4.0 / (45.0 * l * l) / ratio_mu / ratio_mu_inv / ratio_w)
     bounds["tree-general"] = tree_general
     provenance.append(
         "tree-general: MST -> closed preorder traversal cover (cycle length "

@@ -46,6 +46,14 @@ def exit_code(argv):
         return exc.code
 
 
+def certificate(tmp_path, graph_text):
+    """The certificate ``bound --out`` writes for a graph document."""
+    out_path = tmp_path / "certificate.json"
+    assert cli.main(["bound", "--graph", write(tmp_path, "g.json", graph_text),
+                     "--out", str(out_path)]) == 0
+    return json.loads(out_path.read_text())
+
+
 def grep(out, key):
     for line in out.splitlines():
         if line.startswith(key + "="):
@@ -100,10 +108,8 @@ class TestBound:
         assert float(grep(out, "best")) == pytest.approx(1.0 / (45.0 * 1999 ** 2),
                                                          rel=1e-12)
 
-
-class TestLindbladCommand:
     def test_transfer_printed(self, tmp_path, capsys):
-        code = cli.main(["lindblad", "--graph", write(tmp_path, "g.json", K2)])
+        code = cli.main(["bound", "--graph", write(tmp_path, "g.json", K2)])
         out = capsys.readouterr().out
         lam = 2.0 / 45.0
         assert code == 0
@@ -157,6 +163,13 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert code == 0
         assert float(grep(out, "estimate")) > 0
+
+    def test_large_rate_ordering_slack_scales(self, capsys):
+        code = cli.main(["estimate", "--target", "intspec:0,1000",
+                         "--restarts", "4", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert float(grep(captured.out, "estimate")) > 2.0 * float(grep(captured.out, "gap"))
 
     def test_unknown_target(self, capsys):
         assert cli.main(["estimate", "--target", "nonsense"]) == 2
@@ -307,69 +320,65 @@ class TestVerify:
 
 
 class TestCover:
-    def test_path_sequence(self, tmp_path, capsys):
-        out_path = tmp_path / "cover.json"
-        code = cli.main(["cover", "--graph", write(tmp_path, "g.json", P3),
-                         "--out", str(out_path)])
-        capsys.readouterr()
-        assert code == 0
-        doc = json.loads(out_path.read_text())
-        assert doc["sequence"] == [0, 1, 2, 1]
-        assert doc["verified"] is True
+    """The traversal cover in the certificate that ``bound --out`` writes."""
 
-    def test_single_edge(self, tmp_path, capsys):
-        code = cli.main(["cover", "--graph", write(tmp_path, "g.json", K2)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert json.loads(out.rsplit("verified=", 1)[0])["sequence"] == [0, 1]
+    def test_path_sequence(self, tmp_path):
+        assert certificate(tmp_path, P3)["cover"]["sequence"] == [0, 1, 2, 1]
 
-    def test_star_center_multiplicity(self, tmp_path, capsys):
-        out_path = tmp_path / "cover.json"
-        code = cli.main(["cover", "--graph", write(tmp_path, "g.json", STAR),
-                         "--out", str(out_path)])
-        capsys.readouterr()
-        assert code == 0
-        doc = json.loads(out_path.read_text())
-        assert len(doc["sequence"]) == 6
-        assert doc["vertex_multiplicity"][0] == 3
+    def test_single_edge(self, tmp_path):
+        assert certificate(tmp_path, K2)["cover"]["sequence"] == [0, 1]
 
-    def test_long_path(self, tmp_path, capsys):
-        code = cli.main(["cover", "--graph", write(tmp_path, "g.json", PATH2000)])
-        out = capsys.readouterr().out
-        assert code == 0
-        doc = json.loads(out.rsplit("verified=", 1)[0])
-        assert len(doc["sequence"]) == 2 * 1999
-        assert grep(out, "verified") == "true"
+    def test_star_center_multiplicity(self, tmp_path):
+        cover = certificate(tmp_path, STAR)["cover"]
+        assert len(cover["sequence"]) == 6
+        assert cover["vertex_multiplicity"][0] == 3
+
+    def test_long_path(self, tmp_path):
+        assert len(certificate(tmp_path, PATH2000)["cover"]["sequence"]) == 2 * 1999
 
 
 OPTIONS = {
     "bound": {"--graph", "--out"},
-    "lindblad": {"--graph"},
     "estimate": {"--target", "--graph", "--out", "--seed", "--restarts", "--tol",
                  "--p", "--m"},
     "decay": {"--target", "--graph", "--out", "--state", "--t-start", "--t-stop",
               "--t-count"},
     "verify": {"--only", "--dims", "--trials"},
-    "cover": {"--graph", "--out"},
 }
 
 REMOVED = [(command, option)
            for command, options in [("bound", ["--seed", "--restarts", "--tol"]),
-                                    ("lindblad", ["--out", "--seed", "--restarts", "--tol"]),
-                                    ("cover", ["--seed", "--restarts", "--tol"]),
                                     ("decay", ["--seed", "--restarts", "--tol"])]
            for option in options]
 
 
+def declared_options():
+    """Subcommand name -> the option strings its parser declares."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
 class TestOptions:
     def test_each_subcommand_takes_only_what_it_reads(self):
-        parser = cli.build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        found = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-                 for name, p in sub.choices.items()}
+        found = declared_options()
         assert found == OPTIONS
-        assert sum(map(len, found.values())) == 23
+        assert sum(map(len, found.values())) == 20
+
+    def test_readme_table_matches_parser(self):
+        table = README.read_text().split("| subcommand | options |", 1)[1]
+        rows = re.findall(r"^\| `([a-z]+)` \|(.*)\|$", table.split("\n\n", 1)[0], re.M)
+        assert {name: set(re.findall(r"`(--[a-z-]+)`", options))
+                for name, options in rows} == declared_options()
+
+    @pytest.mark.parametrize("command", ["lindblad", "cover"])
+    def test_folded_subcommand_exit_two(self, tmp_path, capsys, command):
+        graph = write(tmp_path, "g.json", Z4)
+        assert exit_code([command, "--graph", graph]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice" in captured.err
 
     @pytest.mark.parametrize("command, option", REMOVED)
     def test_removed_option_exit_two(self, tmp_path, capsys, command, option):

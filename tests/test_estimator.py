@@ -15,6 +15,7 @@ from clsibound.estimator import (
     lbfgs,
     mlsi_estimate,
     nelder_mead,
+    ordering_holds,
     sandwich_check,
 )
 from clsibound.exceptions import DegenerateStartError
@@ -327,6 +328,14 @@ class TestSandwich:
             "classical-estimate<=2*classical-gap",
             "matrix-estimate<=2*matrix-gap",
         }
+
+
+    def test_ordering_slack_absolute_to_one_then_relative(self):
+        tol = 1e-8
+        assert ordering_holds(0.5 + 1e-6, 0.5, tol)
+        assert not ordering_holds(0.5 + 2e-6, 0.5, tol)
+        assert ordering_holds(2.0000000000673076e6, 2e6, tol)
+        assert not ordering_holds(2e6 * (1 + 1e-5), 2e6, tol)
 
 
 class TestScalingInvariance:

@@ -248,6 +248,16 @@ class TestBounds:
             assert cert.best > 0
             assert all(cert.best >= v for v in cert.bounds.values())
 
+    def test_overflowing_denominator_stays_positive(self):
+        g = make_graph(4, [(0, 1), (0, 2), (0, 3, 1e-300)],
+                       [1e-5, 0.007, 0.007, 0.98599])
+        cert = certified_bound(g)
+        r = cert.ratios
+        assert math.isinf(45.0 * 9 * r["dmu_over_dmu_prime"]
+                          * r["dmu_prime_over_dmu"] * r["w_prime_over_w"])
+        assert cert.best == cert.bounds["tree-general"] > 0
+        assert cert.lindblad_lower > 0
+
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             certified_bound(make_graph(4, [(0, 1), (2, 3)]))

@@ -1,6 +1,10 @@
 """Property tests: the document readers raise only their own error type on
-any input, and the graph and float formats round-trip exactly."""
+any input, ``bound`` exits only with a documented code, the graph and float
+formats round-trip exactly, and certificates are positive, deterministic and
+rest on a cover that verifies."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -8,9 +12,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clsibound import serialize
+from clsibound import cli, serialize
 from clsibound.exceptions import GraphFormatError
-from clsibound.graphs import load_graph, make_graph, save_graph
+from clsibound.graphs import (
+    certified_bound,
+    kruskal_mst,
+    load_graph,
+    make_graph,
+    save_graph,
+    traversal_cover,
+    verify_cover,
+)
 
 # Repeatable runs that write no example database into the repository.
 fixed = settings(database=None, derandomize=True, deadline=None)
@@ -46,12 +58,15 @@ def test_load_graph_raises_only_graph_format_error(text):
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, connected=False):
+    """A graph on 2..6 vertices; a connected one joins each vertex to an
+    earlier one before drawing the other edges."""
     n = draw(st.integers(2, 6))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)] if connected else []
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     weights = st.floats(min_value=1e-300, max_value=1e300)
-    edges = [(u, v, draw(weights)) for u, v in chosen]
+    edges = [(u, v, draw(weights)) for u, v in tree + [p for p in chosen if p not in tree]]
     measure = None
     if draw(st.booleans()):
         raw = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
@@ -67,6 +82,45 @@ def test_save_load_graph_round_trip(g):
     assert back.n == g.n and back.edges == g.edges
     assert np.array_equal(back.measure, g.measure)
     assert save_graph(back) == text
+
+
+EXIT_CODES = {cli.EXIT_OK} | {code for _, code, _ in cli.ERRORS}
+
+
+@fuzz
+@given(text=graph_texts | graphs().map(save_graph))
+def test_bound_exits_with_a_documented_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-graph.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["bound", "--graph", str(path)])
+    assert code in EXIT_CODES
+    if code == cli.EXIT_OK:
+        assert [line.split("=")[0] for line in out.getvalue().splitlines()] == [
+            "best", "lindblad"]
+    else:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+
+
+@fixed
+@given(graphs(connected=True))
+def test_certified_bound_is_positive(g):
+    cert = certified_bound(g)
+    assert cert.best > 0 and cert.lindblad_lower > 0
+
+
+@fixed
+@given(graphs(connected=True))
+def test_certified_bound_is_deterministic(g):
+    assert certified_bound(g).to_json() == certified_bound(g).to_json()
+
+
+@fixed
+@given(graphs(connected=True))
+def test_mst_traversal_cover_self_verifies(g):
+    cover = traversal_cover(kruskal_mst(g))
+    assert verify_cover(cover, cover.induced_tree_graph()).ok
 
 
 @fixed
