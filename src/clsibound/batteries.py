@@ -1,6 +1,6 @@
 """Named verification batteries: every module-level invariant and property
 runs here, one PASS/FAIL result per battery.  Each battery fixes its seed
-in its body; only ``trials``, ``states`` and ``dims`` can be overridden.
+in its body; only ``trials`` can be overridden.
 
 The CLI ``verify`` subcommand and the test suite both drive this registry,
 so the checks exist exactly once.
@@ -83,6 +83,9 @@ def _rand_connected_graph(rng, n: int, extra_edges: int = 0,
     return graphs.make_graph(n, [(u, v, w) for (u, v), w in edges.items()], measure)
 
 
+# Matrix dimensions the doi-identity and quadrature trials cycle through.
+_DOI_DIMS = (2, 3, 4, 5)
+
 _SMALL_GRAPHS = {
     "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
     "path4": (4, [(0, 1), (1, 2), (2, 3)]),
@@ -92,14 +95,14 @@ _SMALL_GRAPHS = {
 }
 
 
-def battery_doi_identity(trials: int = 100, dims=(2, 3, 4, 5)) -> BatteryResult:
+def battery_doi_identity(trials: int = 100) -> BatteryResult:
     """delta(ln rho) = Q^rho(delta rho) for delta = [X, .], plus Hermiticity
     and linearity of T -> Q(T), all within 1e-10."""
     rng = np.random.default_rng(11)
     kernel = ScalarKernel.log_quotient()
     worst = 0.0
     for trial in range(trials):
-        n = dims[trial % len(dims)]
+        n = _DOI_DIMS[trial % len(_DOI_DIMS)]
         rho = _rand_positive(rng, n, 0.05, 20.0)
         x = random_hermitian(rng, n)
         delta_rho = x @ rho - rho @ x
@@ -116,16 +119,16 @@ def battery_doi_identity(trials: int = 100, dims=(2, 3, 4, 5)) -> BatteryResult:
             split = a * q + b * spectral.doi_apply(rho, rho, kern, t2)
             worst = max(worst, float(np.abs(combo - split).max()))
     return BatteryResult("doi-identity", worst <= 1e-10, worst,
-                         f"{trials} trials, dims {min(dims)}-{max(dims)}")
+                         f"{trials} trials, dims {min(_DOI_DIMS)}-{max(_DOI_DIMS)}")
 
 
-def battery_quadrature(trials: int = 100, dims=(2, 3, 4, 5)) -> BatteryResult:
+def battery_quadrature(trials: int = 100) -> BatteryResult:
     """Resolvent and tilt quadrature oracles agree with the kernel forms
     within 1e-6 (64 starting points, spectra in [0.05, 20])."""
     rng = np.random.default_rng(12)
     worst = 0.0
     for trial in range(trials):
-        n = dims[trial % len(dims)]
+        n = _DOI_DIMS[trial % len(_DOI_DIMS)]
         rho = _rand_positive(rng, n, 0.05, 20.0)
         t = random_hermitian(rng, n)
         if trial % 2 == 0:
@@ -136,7 +139,7 @@ def battery_quadrature(trials: int = 100, dims=(2, 3, 4, 5)) -> BatteryResult:
             direct = spectral.doi_apply(rho, rho, ScalarKernel.tilt(), t)
         worst = max(worst, float(np.abs(oracle - direct).max()))
     return BatteryResult("quadrature", worst <= 1e-6, worst,
-                         f"{trials} trials, dims {min(dims)}-{max(dims)}")
+                         f"{trials} trials, dims {min(_DOI_DIMS)}-{max(_DOI_DIMS)}")
 
 
 def battery_entropy_interpolation(trials: int = 50) -> BatteryResult:
@@ -207,7 +210,7 @@ def battery_edge_product() -> BatteryResult:
                          f"{len(_SMALL_GRAPHS)} graphs")
 
 
-def battery_diagonal_entropy_comparison(states: int = 100) -> BatteryResult:
+def battery_diagonal_entropy_comparison(trials: int = 100) -> BatteryResult:
     """Diagonal comparison: D(rho||E_diag rho) <= 5 pi^2 I(rho) for connected
     graphs on 3..5 vertices; zero violations allowed."""
     rng = np.random.default_rng(16)
@@ -217,16 +220,16 @@ def battery_diagonal_entropy_comparison(states: int = 100) -> BatteryResult:
         n, edge_list = _SMALL_GRAPHS[name]
         s = lindblad.graph_lindblad(graphs.make_graph(n, edge_list))
         e_diag = lindblad.diagonal_expectation(n)
-        for _ in range(states):
+        for _ in range(trials):
             rho = random_state(rng, n)
             d = entropy.entropy_to_expectation(rho, e_diag)
             i = entropy.fisher_lindblad(s, rho)
             worst = max(worst, d - bound * i)
     return BatteryResult("diagonal-entropy-comparison", worst <= 1e-12, max(worst, 0.0),
-                         f"{states} states x 3 graphs")
+                         f"{trials} states x 3 graphs")
 
 
-def battery_diagonal_fisher_monotone(states: int = 100) -> BatteryResult:
+def battery_diagonal_fisher_monotone(trials: int = 100) -> BatteryResult:
     """Pinching monotonicity of the Fisher information:
     I(E_diag rho) <= I(rho) on the same battery."""
     rng = np.random.default_rng(17)
@@ -235,12 +238,12 @@ def battery_diagonal_fisher_monotone(states: int = 100) -> BatteryResult:
         n, edge_list = _SMALL_GRAPHS[name]
         s = lindblad.graph_lindblad(graphs.make_graph(n, edge_list))
         e_diag = lindblad.diagonal_expectation(n)
-        for _ in range(states):
+        for _ in range(trials):
             rho = random_state(rng, n)
             worst = max(worst, entropy.fisher_lindblad(s, e_diag(rho))
                         - entropy.fisher_lindblad(s, rho))
     return BatteryResult("diagonal-fisher-monotone", worst <= 1e-10, max(worst, 0.0),
-                         f"{states} states x 3 graphs")
+                         f"{trials} states x 3 graphs")
 
 
 def battery_pinching_p_sobolev(trials: int = 60) -> BatteryResult:
@@ -630,13 +633,10 @@ REGISTRY: dict = {
 }
 
 
-def run_batteries(only: Optional[str] = None, trials: Optional[int] = None,
-                  dims: Optional[int] = None) -> list:
-    """Run all (or one) named batteries with optional trial/dim overrides.
-
-    ``trials`` goes to a battery's ``trials`` or ``states`` parameter and
-    ``dims`` to its ``dims`` parameter; a battery without one ignores it.
-    """
+def run_batteries(only: Optional[str] = None, trials: Optional[int] = None) -> list:
+    """Run all (or one) named batteries, with an optional trial count that
+    goes to each battery's ``trials`` parameter; a battery without one
+    ignores it."""
     names = [only] if only else list(REGISTRY)
     results = []
     for name in names:
@@ -644,11 +644,8 @@ def run_batteries(only: Optional[str] = None, trials: Optional[int] = None,
             raise KeyError(
                 f"unknown battery {name!r}; known: {', '.join(REGISTRY)}")
         fn = REGISTRY[name]
-        params = inspect.signature(fn).parameters
-        kwargs = {}
-        if trials is not None:
-            kwargs.update((key, trials) for key in ("trials", "states") if key in params)
-        if dims is not None and "dims" in params:
-            kwargs["dims"] = tuple(range(2, max(2, dims) + 1))
-        results.append(fn(**kwargs))
+        if trials is not None and "trials" in inspect.signature(fn).parameters:
+            results.append(fn(trials=trials))
+        else:
+            results.append(fn())
     return results

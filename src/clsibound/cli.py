@@ -4,9 +4,10 @@ Subcommands: bound, estimate, decay, verify; each takes only the options
 it reads.  ``bound`` prints the best certified graph bound and its
 transfer to the matrix generator; ``--out`` writes the full certificate,
 MST and traversal cover included.  ``estimate`` and ``decay`` take exactly
-one of ``--target`` (a builtin system) and ``--graph PATH``.  Machine
-output goes to stdout as key=value lines (17-significant-digit decimals);
-human messages go to stderr.  Files are written atomically.
+one of ``--target`` (a builtin system) and ``--graph PATH``; every
+ordering ``estimate`` checks has the fixed ``estimator.ORDERING_SLACK``.
+Machine output goes to stdout as key=value lines (17-significant-digit
+decimals); human messages go to stderr.  Files are written atomically.
 
 Exit codes (``ERRORS`` maps exceptions to them and to one stderr line):
   0  success
@@ -139,8 +140,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    opts = estimator.EstimateOptions(restarts=args.restarts, seed=args.seed,
-                                     tol=args.tol)
+    opts = estimator.EstimateOptions(restarts=args.restarts, seed=args.seed)
     if args.graph:
         if args.p is not None or args.m is not None:
             raise ValueError("--graph runs the sandwich check, without --p or --m")
@@ -165,11 +165,10 @@ def cmd_estimate(args) -> int:
         return EXIT_OK
 
     s, e_fix = _build_target(args)
-    m = args.m or 1
     if args.p is not None:
         report = estimator.cpsi_estimate(s, e_fix, args.p, opts, target=args.target)
-    elif m > 1:
-        report = estimator.clsi_probe(s, e_fix, m, opts, target=args.target)
+    elif (args.m or 1) > 1:
+        report = estimator.clsi_probe(s, e_fix, args.m, opts, target=args.target)
     else:
         report = estimator.mlsi_estimate(s, e_fix, opts, target=args.target)
     gap = spectral_gap(s)
@@ -178,8 +177,7 @@ def cmd_estimate(args) -> int:
     if args.out:
         serialize.atomic_write_text(args.out, report.to_json())
         _err(f"report written to {args.out}")
-    if (m == 1 and args.p is None
-            and not estimator.ordering_holds(report.value, 2.0 * gap, opts.tol)):
+    if args.p is None and not estimator.ordering_holds(report.value, 2.0 * gap):
         _err(f"ordering violated: estimate<=2*gap "
              f"({report.value!r} > {2.0 * gap!r} + slack)")
         return EXIT_SANDWICH
@@ -199,8 +197,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = batteries.run_batteries(only=args.only, trials=args.trials,
-                                      dims=args.dims)
+    results = batteries.run_batteries(only=args.only, trials=args.trials)
     failed = 0
     for result in results:
         print(result.line())
@@ -217,13 +214,6 @@ def _int_in(low: int, high: float = math.inf):
                 f"{text} is not an integer in [{low}, {high})")
         return value
     return parse
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"{text} is not finite and nonnegative")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = add("estimate", cmd_estimate, "numeric MLSI/CpSI estimate", "target", "out")
     p_est.add_argument("--seed", type=_int_in(0, 2 ** 64), default=0)
     p_est.add_argument("--restarts", type=positive, default=200)
-    p_est.add_argument("--tol", type=_tolerance, default=1e-8,
-                       help="classical Nelder-Mead tolerance, and the slack "
-                            "of the ordering checks: 1e-6 + tol, times the "
-                            "compared value when it exceeds 1; the matrix "
-                            "L-BFGS search uses fixed stopping constants")
     variant = p_est.add_mutually_exclusive_group()
     variant.add_argument("--p", type=float, default=None,
                          help="p in (1,2) for the p-Sobolev estimate")
@@ -273,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = add("verify", cmd_verify, "run the property batteries")
     p_ver.add_argument("--only", help="run one named battery")
-    p_ver.add_argument("--dims", type=_int_in(2), default=None,
-                       help="cap matrix dimension for dimension-aware batteries")
     p_ver.add_argument("--trials", type=positive, default=None,
                        help="override per-battery trial counts")
     return parser

@@ -37,6 +37,10 @@ from .spectral import (
 )
 
 SANDWICH_BASE_SLACK = 1e-6
+# Relative f-spread at which the classical Nelder-Mead search stops, and the
+# slack of every ordering check (see ``ordering_holds``).
+SEARCH_TOL = 1e-8
+ORDERING_SLACK = SANDWICH_BASE_SLACK + SEARCH_TOL
 DECAY_MONOTONE_TOL = 1e-10
 DECAY_VALUE_FLOOR = 1e-12
 GAP_SEED_SCALE = 1e-3
@@ -60,13 +64,12 @@ GRAD_TOL = 1e-9
 class EstimateOptions:
     restarts: int = 200
     seed: int = 0
-    tol: float = 1e-8
 
     def to_json_dict(self) -> dict:
         return {
             "restarts": self.restarts,
             "seed": self.seed,
-            "tol": self.tol,
+            "tol": SEARCH_TOL,
             "max_iters": MAX_ITERS,
             "init_scale": INIT_SCALE,
             "resample_limit": RESAMPLE_LIMIT,
@@ -125,7 +128,7 @@ class EstimateReport:
 
 
 def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
-                step: float = 0.25, tol: float = 1e-8,
+                step: float = 0.25, tol: float = SEARCH_TOL,
                 max_iters: int = MAX_ITERS):
     """Deterministic Nelder-Mead with the standard reflect/expand/contract/
     shrink moves; the running best value is monotone non-increasing and the
@@ -307,6 +310,10 @@ class _ClassicalObjective:
         return np.exp(np.asarray(theta, dtype=float))
 
 
+# Where an eigenvalue ratio rounds r - 1 to -1, the Bregman kernels take
+# log1p(-1) = -inf: a non-finite objective, an excluded point the searches
+# reject.  numpy's warning on it is silenced once per multistart.
+@np.errstate(divide="ignore", invalid="ignore")
 def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
                 extra_starts: Sequence[np.ndarray],
                 p: Optional[float] = None) -> EstimateReport:
@@ -322,7 +329,7 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
         if isinstance(objective, _MatrixObjective):
             theta, value, _ = lbfgs(objective.value_grad, theta0)
         else:
-            theta, value, _ = nelder_mead(objective, theta0, tol=opts.tol)
+            theta, value, _ = nelder_mead(objective, theta0)
         per_restart.append(float(value))
         if value < best_value:
             best_value = value
@@ -523,11 +530,12 @@ def gap_seed_classical(a: np.ndarray) -> np.ndarray:
     return GAP_SEED_SCALE * u[:, idx]
 
 
-def ordering_holds(lhs: float, rhs: float, tol: float) -> bool:
-    """lhs <= rhs up to the ordering slack (SANDWICH_BASE_SLACK + tol) *
-    max(1, |rhs|): absolute while |rhs| <= 1, relative above, so rounding in
-    a large rate is not read as a violation."""
-    return bool(lhs <= rhs + (SANDWICH_BASE_SLACK + tol) * max(1.0, abs(rhs)))
+def ordering_holds(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to ORDERING_SLACK * max(1, |rhs|), with the fixed
+    ORDERING_SLACK = SANDWICH_BASE_SLACK + SEARCH_TOL (1e-6 + 1e-8):
+    absolute while |rhs| <= 1, relative above, so rounding in a large rate
+    is not read as a violation."""
+    return bool(lhs <= rhs + ORDERING_SLACK * max(1.0, abs(rhs)))
 
 
 @dataclass
@@ -542,7 +550,6 @@ class SandwichReport:
     matrix: EstimateReport
     gap_classical: float
     gap_matrix: float
-    slack: float
     orderings: list  # (name, lhs, rhs, ok)
 
     @property
@@ -562,7 +569,7 @@ class SandwichReport:
             "matrix_estimate": self.matrix.value,
             "gap_classical": self.gap_classical,
             "gap_matrix": self.gap_matrix,
-            "slack": self.slack,
+            "slack": ORDERING_SLACK,
             "orderings": [
                 {"name": name, "lhs": lhs, "rhs": rhs, "ok": ok}
                 for name, lhs, rhs, ok in self.orderings
@@ -582,16 +589,21 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
         classical estimate <= 2 * classical gap,
         matrix estimate <= 2 * matrix gap,
 
-    each by ``ordering_holds``: up to slack = 1e-6 + optimizer tol, scaled
-    by the right-hand side where that exceeds 1 (the report stores the
+    each by ``ordering_holds``: up to the fixed ORDERING_SLACK, scaled by
+    the right-hand side where that exceeds 1 (the report stores the
     unscaled slack).  The matrix search is warm started with the classical
     witness embedded diagonally, so the subset ordering is inherited rather
-    than hoped for.
+    than hoped for.  ``graph_lindblad`` and ``graph_laplacian`` ignore the
+    measure, so a non-uniform one, under which two orderings fail, raises
+    ValueError before any search.
     """
     opts = opts or EstimateOptions()
     cert = certified_bound(g)  # first, so a disconnected graph of any size says so
     if g.n > 5:
         raise ValueError("sandwich harness is desk-scale: n <= 5")
+    if not g.is_uniform():
+        raise ValueError("the sandwich check needs a uniform measure: the "
+                         "matrix generator and the classical gap ignore it")
 
     a = graph_laplacian(g)
     gap_c = spectral_gap(a)
@@ -611,12 +623,11 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
     matrix = mlsi_estimate(s, e_fix, opts, extra_starts=matrix_starts,
                            target=(label or f"graph(n={g.n})") + ":matrix")
 
-    slack = SANDWICH_BASE_SLACK + opts.tol
     orderings = []
 
     def add(name, lhs, rhs):
         lhs, rhs = float(lhs), float(rhs)
-        orderings.append((name, lhs, rhs, ordering_holds(lhs, rhs, opts.tol)))
+        orderings.append((name, lhs, rhs, ordering_holds(lhs, rhs)))
 
     add("lindblad-certified<=matrix-estimate", cert.lindblad_lower, matrix.value)
     add("matrix-estimate<=classical-estimate", matrix.value, classical.value)
@@ -632,7 +643,6 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
         matrix=matrix,
         gap_classical=gap_c,
         gap_matrix=gap_m,
-        slack=slack,
         orderings=orderings,
     )
     classical.sandwich = report.to_json_dict()

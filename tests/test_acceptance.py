@@ -133,8 +133,8 @@ def test_07_doi_monotonicity():
 
 def test_08_edge_expectation_lemmas():
     product = batteries.battery_edge_product()
-    entropy_cmp = batteries.battery_diagonal_entropy_comparison(states=100)
-    fisher_mono = batteries.battery_diagonal_fisher_monotone(states=100)
+    entropy_cmp = batteries.battery_diagonal_entropy_comparison(trials=100)
+    fisher_mono = batteries.battery_diagonal_fisher_monotone(trials=100)
     ok = product.passed and entropy_cmp.passed and fisher_mono.passed
     report(8, "edge-expectation-lemmas", ok,
            f"product exact={product.passed}, "

@@ -33,14 +33,13 @@ TAKES_TRIALS = {
     "semigroup", "expectations", "change-of-measure", "data-processing",
     "iter-chain", "scaling", "expo-decay", "graph-bounds",
 }
-TAKES_DIMS = {"doi-identity", "quadrature"}
 
 
 def test_overrides_follow_battery_signatures(monkeypatch):
-    # the overridable knobs are the only parameters; seeds stay in the bodies
+    # the trial count is the only parameter; seeds stay in the bodies
     for name, fn in batteries.REGISTRY.items():
         params = set(inspect.signature(fn).parameters)
-        assert params <= {"trials", "states", "dims"}, (name, params)
+        assert params <= {"trials"}, (name, params)
     calls = {}
 
     def spy(name, fn):
@@ -52,14 +51,11 @@ def test_overrides_follow_battery_signatures(monkeypatch):
 
     for name, fn in list(batteries.REGISTRY.items()):
         monkeypatch.setitem(batteries.REGISTRY, name, spy(name, fn))
-    batteries.run_batteries(trials=3, dims=4)
+    batteries.run_batteries(trials=3)
     assert set(calls) == set(batteries.REGISTRY)
-    tuned = {name for name, kwargs in calls.items()
-             if kwargs.get("trials", kwargs.get("states")) == 3}
+    tuned = {name for name, kwargs in calls.items() if kwargs.get("trials") == 3}
     assert tuned == TAKES_TRIALS
-    assert {name for name, kwargs in calls.items() if "dims" in kwargs} == TAKES_DIMS
-    assert calls["doi-identity"]["dims"] == (2, 3, 4)
-    assert calls["diagonal-entropy-comparison"] == {"states": 3}
+    assert calls["diagonal-entropy-comparison"] == {"trials": 3}
     assert calls["constant-chain"] == {}
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from clsibound import _kernels, batteries, estimator, lindblad, spectral
 from clsibound.estimator import (
+    ORDERING_SLACK,
     EstimateOptions,
     classical_mlsi_estimate,
     clsi_probe,
@@ -215,7 +216,7 @@ class TestClsiProbe:
         e = fixed_point_dim(s).expectation
         one = clsi_probe(s, e, 1, opts)
         two = clsi_probe(s, e, 2, opts)
-        assert two.value <= one.value + 1e-6 + opts.tol
+        assert two.value <= one.value + ORDERING_SLACK
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -331,11 +332,10 @@ class TestSandwich:
 
 
     def test_ordering_slack_absolute_to_one_then_relative(self):
-        tol = 1e-8
-        assert ordering_holds(0.5 + 1e-6, 0.5, tol)
-        assert not ordering_holds(0.5 + 2e-6, 0.5, tol)
-        assert ordering_holds(2.0000000000673076e6, 2e6, tol)
-        assert not ordering_holds(2e6 * (1 + 1e-5), 2e6, tol)
+        assert ordering_holds(0.5 + 1e-6, 0.5)
+        assert not ordering_holds(0.5 + 2e-6, 0.5)
+        assert ordering_holds(2.0000000000673076e6, 2e6)
+        assert not ordering_holds(2e6 * (1 + 1e-5), 2e6)
 
 
 class TestScalingInvariance:
