@@ -444,6 +444,10 @@ class TestOptions:
         ["estimate", "--target", "pauli", "--seed", str(2 ** 64)],
         ["estimate", "--target", "pauli", "--restarts", "0"],
         ["estimate", "--target", "pauli", "--m", "0"],
+        # --tol is removed: a value once out of its range is still refused
+        ["estimate", "--target", "pauli", "--tol", "nan"],
+        ["estimate", "--target", "pauli", "--tol", "inf"],
+        ["estimate", "--target", "pauli", "--tol=-1e-8"],
         ["verify", "--trials", "0"],
         ["verify", "--trials", "-3"],
     ], ids=lambda argv: " ".join(argv[1:]))
