@@ -107,16 +107,16 @@ def battery_doi_identity(trials: int = 100) -> BatteryResult:
         x = random_hermitian(rng, n)
         delta_rho = x @ rho - rho @ x
         lhs = x @ spectral.matrix_log(rho) - spectral.matrix_log(rho) @ x
-        rhs = spectral.doi_apply(rho, rho, kernel, delta_rho)
+        rhs = spectral.doi_apply(rho, kernel, delta_rho)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
         for kern in (kernel, ScalarKernel.tilt(), ScalarKernel.power_quotient(1.5)):
             t = random_hermitian(rng, n)
-            q = spectral.doi_apply(rho, rho, kern, t)
+            q = spectral.doi_apply(rho, kern, t)
             worst = max(worst, float(np.abs(q - q.conj().T).max()))
             t2 = random_hermitian(rng, n)
             a, b = rng.normal(size=2)
-            combo = spectral.doi_apply(rho, rho, kern, a * t + b * t2)
-            split = a * q + b * spectral.doi_apply(rho, rho, kern, t2)
+            combo = spectral.doi_apply(rho, kern, a * t + b * t2)
+            split = a * q + b * spectral.doi_apply(rho, kern, t2)
             worst = max(worst, float(np.abs(combo - split).max()))
     return BatteryResult("doi-identity", worst <= 1e-10, worst,
                          f"{trials} trials, dims {min(_DOI_DIMS)}-{max(_DOI_DIMS)}")
@@ -133,10 +133,10 @@ def battery_quadrature(trials: int = 100) -> BatteryResult:
         t = random_hermitian(rng, n)
         if trial % 2 == 0:
             oracle = spectral.quadrature_oracle_resolvent(rho, t)
-            direct = spectral.doi_apply(rho, rho, ScalarKernel.log_quotient(), t)
+            direct = spectral.doi_apply(rho, ScalarKernel.log_quotient(), t)
         else:
             oracle = spectral.quadrature_oracle_tilt(rho, t)
-            direct = spectral.doi_apply(rho, rho, ScalarKernel.tilt(), t)
+            direct = spectral.doi_apply(rho, ScalarKernel.tilt(), t)
         worst = max(worst, float(np.abs(oracle - direct).max()))
     return BatteryResult("quadrature", worst <= 1e-6, worst,
                          f"{trials} trials, dims {min(_DOI_DIMS)}-{max(_DOI_DIMS)}")
@@ -585,10 +585,7 @@ def battery_graph_bounds(trials: int = 40) -> BatteryResult:
                                   weighted=trial % 3 == 1, measured=trial % 3 == 2)
         cert = graphs.certified_bound(g)
         ok &= cert.best > 0
-        mst = graphs.kruskal_mst(g)
-        cover = graphs.traversal_cover(mst)
-        check = graphs.verify_cover(cover, cover.induced_tree_graph())
-        ok &= check.ok
+        ok &= graphs.verify_cover(cert.cover, cert.cover.induced_tree_graph()).ok
         if g.is_uniform() and g.has_unit_weights() and "corollary-worst-case" in cert.bounds:
             gap = cert.bounds["corollary-worst-case"] - cert.bounds["tree-general"]
             worst = max(worst, gap)
@@ -601,7 +598,7 @@ def battery_graph_bounds(trials: int = 40) -> BatteryResult:
                     total = sum(w for _, _, w in subset)
                     best_total = total if best_total is None else min(best_total, total)
             ok &= best_total is not None
-            ok &= abs(sum(w for _, _, w in mst.edges) - best_total) <= 1e-9
+            ok &= abs(sum(w for _, _, w in cert.tree.edges) - best_total) <= 1e-9
     return BatteryResult("graph-bounds", ok and worst <= 1e-15, worst,
                          f"{trials} random graphs")
 

@@ -4,16 +4,17 @@ Subcommands: bound, estimate, decay, verify; each takes only the options
 it reads.  ``bound`` prints the best certified graph bound and its
 transfer to the matrix generator; ``--out`` writes the full certificate,
 MST and traversal cover included.  ``estimate`` and ``decay`` take exactly
-one of ``--target`` (a builtin system) and ``--graph PATH``; every
-ordering ``estimate`` checks has the fixed ``estimator.ORDERING_SLACK``.
-Machine output goes to stdout as key=value lines (17-significant-digit
-decimals); human messages go to stderr.  Files are written atomically.
+one of ``--target`` (a builtin system) and ``--graph PATH``, of dimension
+at most MAX_TARGET_DIM; every ordering ``estimate`` checks has the fixed
+``estimator.ORDERING_SLACK``.  Machine output goes to stdout as key=value
+lines (17-significant-digit decimals); human messages go to stderr.  Files
+are written atomically.
 
 Exit codes (``ERRORS`` maps exceptions to them and to one stderr line):
   0  success
   2  usage or input error: argparse, unreadable or malformed input
   3  disconnected graph
-  4  sandwich ordering violation
+  4  ordering violation: the sandwich, or estimate --target's own orderings
   5  non-monotone decay, or a degenerate start on the fixed-point manifold
   6  verification battery failure
   7  numerical error: two computation routes disagree, or a quadrature
@@ -26,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +55,8 @@ EXIT_NUMERICAL = 7
 # (d_i - d_j)^2 <= 4e12, far from overflow, and its eigenvalues' rounding
 # far below the integer-spectrum tolerance.
 INTSPEC_MAX = 1e6
+# Largest dimension n of a target, whose superoperator is n^2 x n^2.
+MAX_TARGET_DIM = 32
 
 # (exception types, exit code, stderr line): the first matching row wins.
 ERRORS = (
@@ -81,21 +85,27 @@ def _read_graph(path: str) -> graphs.WeightedGraph:
 
 def _build_target(args):
     """Resolve --target (pauli | depolarizing:n | intspec:d0,d1,...) or
-    --graph PATH to (superoperator, fixed-point expectation)."""
+    --graph PATH to (superoperator, fixed-point expectation), refusing a
+    dimension above MAX_TARGET_DIM before any n^2 x n^2 array exists."""
     name = args.target
     if name is None:
         g = _read_graph(args.graph)
         if not graphs.is_connected(g):
             raise DisconnectedGraphError("graph is disconnected")
-        s = lindblad.graph_lindblad(g)
+        n, build = g.n, partial(lindblad.graph_lindblad, g)
     elif name == "pauli":
-        s = lindblad.pauli_system()
+        n, build = 2, lindblad.pauli_system
     elif name.startswith("depolarizing:"):
-        s = lindblad.depolarizing(int(name.split(":", 1)[1]))
+        n = int(name.split(":", 1)[1])
+        build = partial(lindblad.depolarizing, n)
     elif name.startswith("intspec:"):
-        s = lindblad.integer_spectrum_lindblad(np.diag(_intspec(name)).astype(complex))
+        diag = np.diag(_intspec(name)).astype(complex)
+        n, build = len(diag), partial(lindblad.integer_spectrum_lindblad, diag)
     else:
         raise GraphFormatError(f"unknown target {name!r}")
+    if n > MAX_TARGET_DIM:
+        raise ValueError(f"target dimension {n} exceeds MAX_TARGET_DIM = {MAX_TARGET_DIM}")
+    s = build()
     return s, fixed_point_dim(s).expectation
 
 
@@ -177,10 +187,13 @@ def cmd_estimate(args) -> int:
     if args.out:
         serialize.atomic_write_text(args.out, report.to_json())
         _err(f"report written to {args.out}")
-    if args.p is None and not estimator.ordering_holds(report.value, 2.0 * gap):
-        _err(f"ordering violated: estimate<=2*gap "
-             f"({report.value!r} > {2.0 * gap!r} + slack)")
-        return EXIT_SANDWICH
+    orderings = [("estimate<=2*gap", report.value, 2.0 * gap)]
+    if s.certified_lower is not None:
+        orderings.append(("certified<=estimate", s.certified_lower, report.value))
+    for name, lhs, rhs in orderings if args.p is None else ():
+        if not estimator.ordering_holds(lhs, rhs):
+            _err(f"ordering violated: {name} ({lhs!r} > {rhs!r} + slack)")
+            return EXIT_SANDWICH
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ from .spectral import (
     SpectralDecomposition,
     SpectralSuperoperator,
     _gauss_legendre,
+    _positive_eigh,
     derivation_form,
     doi_apply,
     matrix_log,
@@ -85,8 +86,7 @@ def rel_entropy(rho, sigma) -> RelEntropyResult:
     sigma = require_hermitian(sigma, what="rel_entropy sigma")
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    n = rho.shape[0]
-    dr = positive_eigs(rho, "rel_entropy rho")
+    dr = _positive_eigh(rho, "rel_entropy rho")
     ws, vs = np.linalg.eigh(sigma)
     if ws[-1] <= 0:
         return RelEntropyResult(finite=False, value=np.inf)
@@ -96,7 +96,7 @@ def rel_entropy(rho, sigma) -> RelEntropyResult:
     if kernel_mass > SUPPORT_TOL * max(1.0, float(np.trace(rho).real)):
         return RelEntropyResult(finite=False, value=np.inf)
     d_lin = _overlap_entropy(dr, SpectralDecomposition(ws[support], vs[:, support]))
-    value = d_lin + (float(np.trace(rho).real) - float(ws.sum())) / n
+    value = d_lin + (float(np.trace(rho).real) - float(ws.sum())) / len(rho)
     return RelEntropyResult(finite=True, value=value)
 
 
@@ -104,13 +104,13 @@ def entropy_to_expectation(rho, expectation) -> float:
     """D(rho || E(rho)) for a trace-preserving idempotent expectation E."""
     rho = require_hermitian(rho, what="entropy_to_expectation rho")
     sigma = expectation(rho)
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    w = np.linalg.eigvalsh(sigma)
-    if w[0] <= POSITIVITY_FLOOR:
+    ws, vs = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    if ws[0] <= POSITIVITY_FLOOR:
         raise ConsistencyError(
             f"conditional expectation produced a non-positive output "
-            f"(min eigenvalue {w[0]:.6e})")
-    return lindblad_rel_entropy(rho, sigma)
+            f"(min eigenvalue {ws[0]:.6e})")
+    return _overlap_entropy(_positive_eigh(rho, "lindblad_rel_entropy rho"),
+                            SpectralDecomposition(ws, vs))
 
 
 def p_rel_entropy(rho, sigma, p: float) -> float:
@@ -232,7 +232,7 @@ def entropy_interpolation_check(rho, sigma) -> float:
     lhs = 0.0
     for t, w in zip(*_gauss_legendre(64, 0.0, 1.0)):
         gt = (1.0 - t) * rho + t * sigma
-        lhs += w * float(np.trace(delta @ doi_apply(gt, gt, kernel, delta)).real)
+        lhs += w * float(np.trace(delta @ doi_apply(gt, kernel, delta)).real)
     lhs /= rho.shape[0]
     rhs = float(np.trace(delta @ (matrix_log(rho) - matrix_log(sigma))).real) / rho.shape[0]
     return abs(lhs - rhs)

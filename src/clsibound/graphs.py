@@ -4,15 +4,19 @@ constant.
 
 The certificate chain is: minimum spanning tree -> closed preorder-traversal
 cover by a cycle of length 2l -> measure/weight comparison ratios -> numeric
-lower bound -> transfer to the matrix generator.  A spanning tree is a
-``WeightedGraph`` that carries its host graph's weights and measure; a cover
-is serialized by ``CyclicCover.to_json_dict`` alone.
+lower bounds, one per applicable row of ``BOUND_SOURCES`` -> transfer of the
+best to the matrix generator.  A spanning tree is a ``WeightedGraph`` that
+carries its host graph's weights and measure.  A ``BoundCertificate`` keeps
+the graph, the tree (``cert.tree``) and the cover (``cert.cover``) it was
+built on and derives the rest; ``CyclicCover.to_json_dict`` alone
+serializes a cover.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -310,40 +314,26 @@ def verify_cover(cover: CyclicCover, target: WeightedGraph) -> CoverCheck:
     preserving, weight preserving.  Returns ok + the violated condition
     names."""
     reasons = []
-    two_l = cover.cycle_length
     target_edges = {(u, v): w for u, v, w in target.edges}
-
-    edge_ok = True
-    for a, b in cover.cycle_edges():
-        key = (a, b) if a < b else (b, a)
-        if key not in target_edges:
-            edge_ok = False
-            break
+    keys = [(a, b) if a < b else (b, a) for a, b in cover.cycle_edges()]
+    edge_ok = all(key in target_edges for key in keys)
     if not edge_ok:
         reasons.append("edge preserving")
 
     counts = np.zeros(target.n)
     for x in cover.sequence:
         if 0 <= x < target.n:
-            counts[x] += 1.0 / two_l
+            counts[x] += 1.0 / cover.cycle_length
     if not np.all(np.abs(target.measure - counts) <= COVER_TOL):
         reasons.append("measure preserving")
 
-    if edge_ok:
-        multiplicity: dict = {}
-        for a, b in cover.cycle_edges():
-            key = (a, b) if a < b else (b, a)
-            multiplicity[key] = multiplicity.get(key, 0) + 1
-        weight_ok = set(multiplicity) == set(target_edges)
-        if weight_ok:
-            for key, m in multiplicity.items():
-                # cycle weight is 1, so w_target / m must equal 1
-                if abs(target_edges[key] / m - 1.0) > COVER_TOL:
-                    weight_ok = False
-                    break
-        if not weight_ok:
-            reasons.append("weight preserving")
-
+    # The cycle's weight is 1, so each target weight over its multiplicity
+    # must equal 1.
+    multiplicity = Counter(keys)
+    if edge_ok and (set(multiplicity) != set(target_edges) or any(
+            abs(target_edges[key] / m - 1.0) > COVER_TOL
+            for key, m in multiplicity.items())):
+        reasons.append("weight preserving")
     return CoverCheck(ok=not reasons, reasons=tuple(reasons))
 
 
@@ -363,26 +353,49 @@ def lindblad_bound(lambda_graph: float) -> float:
     return lambda_graph / (1.0 + 5.0 * math.pi ** 2 * lambda_graph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCertificate:
-    """Full provenance chain from the spanning tree to the final bounds."""
+    """Full provenance chain from the spanning tree to the final bounds:
+    every applicable bound (name -> value), one provenance line each."""
 
-    graph_summary: dict
-    mst: dict
-    cover: dict
+    graph: WeightedGraph
+    tree: WeightedGraph
+    cover: CyclicCover
     ratios: dict
-    bounds: dict           # name -> value for every applicable bound
-    best: float
-    best_source: str
-    lindblad_lower: float
+    bounds: dict
     provenance: tuple
 
+    @property
+    def best_source(self) -> str:  # the first largest, in BOUND_SOURCES order
+        return max(self.bounds, key=self.bounds.__getitem__)
+
+    @property
+    def best(self) -> float:
+        return self.bounds[self.best_source]
+
+    @property
+    def lindblad_lower(self) -> float:
+        return lindblad_bound(self.best)
+
     def to_json_dict(self) -> dict:
+        g, tree = self.graph, self.tree
         return {
             "schema_version": 1,
-            "graph": self.graph_summary,
-            "mst": self.mst,
-            "cover": self.cover,
+            "graph": {
+                "n": g.n,
+                "edge_count": g.edge_count,
+                "uniform_measure": g.is_uniform(),
+                "unit_weights": g.has_unit_weights(),
+                "edges": [[u, v, w] for u, v, w in g.edges],
+                "measure": serialize.vector_to_json(g.measure),
+            },
+            "mst": {
+                "l": tree.edge_count,
+                "max_degree": int(tree.degrees().max()),
+                "edges": [[u, v] for u, v, _ in tree.edges],
+                "total_weight": sum(w for _, _, w in tree.edges),
+            },
+            "cover": self.cover.to_json_dict(),
             "ratios": self.ratios,
             "bounds": self.bounds,
             "best": self.best,
@@ -395,86 +408,67 @@ class BoundCertificate:
         return serialize.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def certified_bound(g: WeightedGraph) -> BoundCertificate:
-    """Compute every applicable certified lower bound for the graph and keep
-    the largest.
+def _tree_general(g, tree, cover, ratios):
+    """4 / (45 l^2 ||dmu/dmu'|| ||dmu'/dmu|| ||w'/w^s||), for every graph."""
+    l = tree.edge_count
+    ratio_mu, ratio_mu_inv, ratio_w = ratios.values()  # certified_bound's order
+    denominator = 45.0 * l * l * ratio_mu * ratio_mu_inv * ratio_w
+    # An overflowed product would make the bound 0; dividing in turn keeps a
+    # bound below the normal float range positive.
+    value = (4.0 / denominator if math.isfinite(denominator) else
+             4.0 / (45.0 * l * l) / ratio_mu / ratio_mu_inv / ratio_w)
+    return ("tree-general", value,
+            "tree-general: MST -> closed preorder traversal cover (cycle length "
+            f"{2*l}) -> 4/(45*l^2 * {ratio_mu:.6g} * {ratio_mu_inv:.6g} * {ratio_w:.6g})")
 
-    Always emitted: the tree-general bound
-    4 / (45 l^2 ||dmu/dmu'|| ||dmu'/dmu|| ||w'/w^s||) from the MST cover.
-    For uniform measure and unit weights also 2/(45 l^2 d) with d the max
-    degree of the MST itself; for a single uniform unit-weight cycle also
-    16/(45 n^2).
+
+def _corollary_worst_case(g, tree, cover, ratios):
+    """2/(45 l^2 d), d the MST's max degree, for uniform unit-weight graphs."""
+    if g.is_uniform() and g.has_unit_weights():
+        l, d = tree.edge_count, int(tree.degrees().max())
+        return ("corollary-worst-case", 2.0 / (45.0 * l * l * d),
+                f"corollary-worst-case: 2/(45*l^2*d) with l={l}, d={d}; d is the "
+                "max degree of the MST itself, not of the host graph (the "
+                "tree-degree reading is the sharper one consistent with the "
+                "cover construction)")
+
+
+def _cyclic_special(g, tree, cover, ratios):
+    """16/(45 n^2) for a single uniform unit-weight cycle."""
+    if g.is_uniform() and g.has_unit_weights() and g.is_single_cycle():
+        return ("cyclic-special", cyclic_bound(g.n),
+                f"cyclic-special: single cycle, 16/(45*n^2) with n={g.n}")
+
+
+# Each source maps (graph, MST, its traversal cover, ratios) to (name,
+# value, provenance line), or to None where it does not apply.
+BOUND_SOURCES = (_tree_general, _corollary_worst_case, _cyclic_special)
+
+
+def certified_bound(g: WeightedGraph) -> BoundCertificate:
+    """Every applicable row of BOUND_SOURCES, from one MST and its
+    self-verified traversal cover.
 
     The certified value need not grow when edges are added (extra edges can
     reshape the MST); only positivity and determinism are guaranteed.
     """
-    mst = kruskal_mst(g)
-    cover = traversal_cover(mst)
+    tree = kruskal_mst(g)
+    cover = traversal_cover(tree)
     check = verify_cover(cover, cover.induced_tree_graph())
     assert check.ok, f"traversal cover failed self-verification: {check.reasons}"
 
-    l = mst.edge_count
-    d = int(mst.degrees().max())
     mu_prime, w_prime = cover.mu_prime, cover.w_prime
-    ratio_mu = float(np.max(g.measure / mu_prime))
-    ratio_mu_inv = float(np.max(mu_prime / g.measure))
-    ratio_w = max(w_prime[(u, v)] / w for u, v, w in mst.edges)
-
-    bounds = {}
-    provenance = []
-    denominator = 45.0 * l * l * ratio_mu * ratio_mu_inv * ratio_w
-    # An overflowed product would make the bound 0; dividing in turn keeps a
-    # bound below the normal float range positive.
-    tree_general = (4.0 / denominator if math.isfinite(denominator) else
-                    4.0 / (45.0 * l * l) / ratio_mu / ratio_mu_inv / ratio_w)
-    bounds["tree-general"] = tree_general
-    provenance.append(
-        "tree-general: MST -> closed preorder traversal cover (cycle length "
-        f"{2*l}) -> 4/(45*l^2 * {ratio_mu:.6g} * {ratio_mu_inv:.6g} * {ratio_w:.6g})")
-
-    uniform_unit = g.is_uniform() and g.has_unit_weights()
-    if uniform_unit:
-        bounds["corollary-worst-case"] = 2.0 / (45.0 * l * l * d)
-        provenance.append(
-            f"corollary-worst-case: 2/(45*l^2*d) with l={l}, d={d}; d is the "
-            "max degree of the MST itself, not of the host graph (the "
-            "tree-degree reading is the sharper one consistent with the "
-            "cover construction)")
-    if uniform_unit and g.is_single_cycle():
-        bounds["cyclic-special"] = cyclic_bound(g.n)
-        provenance.append(f"cyclic-special: single cycle, 16/(45*n^2) with n={g.n}")
-
-    best_source = max(bounds, key=lambda k: bounds[k])
-    best = bounds[best_source]
-    assert all(best >= v for v in bounds.values())
-
+    ratios = {
+        "dmu_over_dmu_prime": float(np.max(g.measure / mu_prime)),
+        "dmu_prime_over_dmu": float(np.max(mu_prime / g.measure)),
+        "w_prime_over_w": max(w_prime[(u, v)] / w for u, v, w in tree.edges),
+    }
+    rows = [row for source in BOUND_SOURCES
+            if (row := source(g, tree, cover, ratios)) is not None]
     return BoundCertificate(
-        graph_summary={
-            "n": g.n,
-            "edge_count": g.edge_count,
-            "uniform_measure": g.is_uniform(),
-            "unit_weights": g.has_unit_weights(),
-            "edges": [[u, v, w] for u, v, w in g.edges],
-            "measure": serialize.vector_to_json(g.measure),
-        },
-        mst={
-            "l": l,
-            "max_degree": d,
-            "edges": [[u, v] for u, v, _ in mst.edges],
-            "total_weight": sum(w for _, _, w in mst.edges),
-        },
-        cover=cover.to_json_dict(),
-        ratios={
-            "dmu_over_dmu_prime": ratio_mu,
-            "dmu_prime_over_dmu": ratio_mu_inv,
-            "w_prime_over_w": ratio_w,
-        },
-        bounds=bounds,
-        best=best,
-        best_source=best_source,
-        lindblad_lower=lindblad_bound(best),
-        provenance=tuple(provenance),
-    )
+        graph=g, tree=tree, cover=cover, ratios=ratios,
+        bounds={name: value for name, value, _ in rows},
+        provenance=tuple(line for _, _, line in rows))
 
 
 def graph_laplacian(g: WeightedGraph) -> np.ndarray:

@@ -79,7 +79,12 @@ def eig_hermitian(h) -> SpectralDecomposition:
 def positive_eigs(rho, what: str) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix whose smallest eigenvalue
     must clear ``POSITIVITY_FLOOR``; ``what`` names it in either error."""
-    w, u = np.linalg.eigh(require_hermitian(rho, what=what))
+    return _positive_eigh(require_hermitian(rho, what=what), what)
+
+
+def _positive_eigh(h: np.ndarray, what: str) -> SpectralDecomposition:
+    """``positive_eigs`` of a matrix that ``require_hermitian`` returned."""
+    w, u = np.linalg.eigh(h)
     wmin = float(w[0])
     if wmin <= POSITIVITY_FLOOR:
         raise PositivityError(
@@ -105,10 +110,7 @@ def matrix_function(rho, fn: Callable[[np.ndarray], np.ndarray],
     spectrum must clear the positivity floor (use for ln and fractional
     powers).
     """
-    if require_positive:
-        dec = positive_eigs(rho, "matrix_function")
-    else:
-        dec = eig_hermitian(rho)
+    dec = positive_eigs(rho, "matrix_function") if require_positive else eig_hermitian(rho)
     values = np.asarray(fn(dec.eigenvalues), dtype=float)
     u = dec.eigenvectors
     return (u * values) @ u.conj().T
@@ -148,27 +150,20 @@ class ScalarKernel:
         return _kernels.kernel_matrix(x, y, self.code, self.p)
 
 
-def doi_apply(rho, sigma, kernel: ScalarKernel, t) -> np.ndarray:
-    """Double operator integral Q^{rho,sigma}_k(T).
+def doi_apply(rho, kernel: ScalarKernel, t) -> np.ndarray:
+    """One-state double operator integral Q^rho_k(T).
 
-    In the eigenbases U, V of rho and sigma this is
-    ``U (K o (U* T V)) V*`` with ``K[i,j] = k(lambda_i, mu_j)``; for
-    rho == sigma it is the Schur-product form of the one-state DOI.
+    In the eigenbasis U of rho this is the Schur-product form
+    ``U (K o (U* T U)) U*`` with ``K[i,j] = k(lambda_i, lambda_j)``.
     """
     rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
     t = np.asarray(t, dtype=complex)
-    if rho.shape != sigma.shape or rho.shape != t.shape:
-        raise ValueError(
-            f"dimension mismatch: rho {rho.shape}, sigma {sigma.shape}, T {t.shape}")
+    if rho.shape != t.shape:
+        raise ValueError(f"dimension mismatch: rho {rho.shape}, T {t.shape}")
     dr = positive_eigs(rho, "doi_apply rho")
-    if sigma is rho or np.array_equal(rho, sigma):
-        ds = dr
-    else:
-        ds = positive_eigs(sigma, "doi_apply sigma")
-    k = kernel.matrix(dr.eigenvalues, ds.eigenvalues)
-    u, v = dr.eigenvectors, ds.eigenvectors
-    return u @ (k * (u.conj().T @ t @ v)) @ v.conj().T
+    k = kernel.matrix(dr.eigenvalues, dr.eigenvalues)
+    u = dr.eigenvectors
+    return u @ (k * (u.conj().T @ t @ u)) @ u.conj().T
 
 
 def derivation_form(generators, target, state: SpectralDecomposition,

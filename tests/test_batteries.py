@@ -26,6 +26,23 @@ def test_run_batteries_trial_override():
     assert "5 pairs" in results[0].detail
 
 
+def test_graph_bounds_builds_one_tree_and_one_cover_per_trial(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(batteries.graphs, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("kruskal_mst", "traversal_cover"):
+        monkeypatch.setattr(batteries.graphs, name, counted(name))
+    assert batteries.battery_graph_bounds(trials=3).passed
+    assert sorted(calls) == ["kruskal_mst"] * 3 + ["traversal_cover"] * 3
+
+
 TAKES_TRIALS = {
     "doi-identity", "quadrature", "entropy-interpolation", "doi-monotonicity",
     "diagonal-entropy-comparison", "diagonal-fisher-monotone",

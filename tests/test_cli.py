@@ -32,6 +32,7 @@ DISCONNECTED = '{"n": 4, "edges": [[0,1],[2,3]]}'
 MEASURED_C4 = ('{"n": 4, "edges": [[0,1,0.5],[1,2,2],[2,3,1.5],[0,3,0.7]], '
                '"measure": [0.1,0.4,0.2,0.3]}')
 PATH2000 = json.dumps({"n": 2000, "edges": [[i, i + 1] for i in range(1999)]})
+PATH33 = json.dumps({"n": 33, "edges": [[i, i + 1] for i in range(32)]})
 
 
 def write(tmp_path, name, text):
@@ -207,6 +208,31 @@ class TestEstimate:
 
     def test_unknown_target(self, capsys):
         assert cli.main(["estimate", "--target", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--m", "2"]], ids=["m1", "m2"])
+    def test_certified_lower_above_the_estimate_exit_four(self, monkeypatch, capsys,
+                                                          extra):
+        monkeypatch.setattr(cli.lindblad, "SPHERE_TRANSFER_CONSTANT", 2.5)
+        code = cli.main(["estimate", "--target", "intspec:0,1", "--restarts", "2",
+                         "--seed", "1", *extra])
+        captured = capsys.readouterr()
+        assert code == 4 and float(grep(captured.out, "estimate")) < 2.5
+        assert captured.err.splitlines() == [
+            f"ordering violated: certified<=estimate (2.5 > "
+            f"{float(grep(captured.out, 'estimate'))!r} + slack)"]
+
+    def test_certified_lower_is_not_checked_under_p(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.lindblad, "SPHERE_TRANSFER_CONSTANT", 2.5)
+        code = cli.main(["estimate", "--target", "intspec:0,1", "--restarts", "2",
+                         "--seed", "1", "--p", "1.5"])
+        assert code == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("spec", ["intspec:0,1", "intspec:0,1,2", "intspec:0,2,5,9"])
+    def test_intspec_estimate_clears_its_certified_lower(self, spec, capsys):
+        code = cli.main(["estimate", "--target", spec, "--restarts", "8", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert float(grep(captured.out, "estimate")) >= 1.0 / (5.0 * np.pi ** 2)
 
     @pytest.mark.parametrize("spec", ["intspec:nan,1", "intspec:0,inf",
                                       "intspec:0,1e300"])
@@ -464,6 +490,19 @@ class TestOptions:
         assert (args.seed, args.restarts, args.m) == (2 ** 64 - 1, 1, 1)
         args = cli.build_parser().parse_args(["verify", "--trials", "1"])
         assert args.trials == 1
+
+    @pytest.mark.parametrize("argv, n", [
+        (["estimate", "--target", "depolarizing:1000", "--restarts", "1"], 1000),
+        (["decay", "--target", "intspec:" + ",".join(str(i % 3) for i in range(33))], 33),
+        (["decay", "--graph", "PATH33"], 33),
+    ], ids=["estimate-depolarizing-1000", "decay-intspec-33", "decay-graph-path-33"])
+    def test_target_above_the_dimension_cap_exit_two(self, tmp_path, capsys, argv, n):
+        argv = [write(tmp_path, "g.json", PATH33) if a == "PATH33" else a for a in argv]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: target dimension {n} exceeds MAX_TARGET_DIM = {cli.MAX_TARGET_DIM}"]
 
     def test_directory_as_graph_exit_two(self, tmp_path, capsys):
         code = cli.main(["bound", "--graph", str(tmp_path)])

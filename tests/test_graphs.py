@@ -1,6 +1,7 @@
 """Graph ingestion, spanning trees, traversal covers, certified bounds."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -228,10 +229,12 @@ class TestBounds:
         cert = certified_bound(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
         assert cert.bounds["corollary-worst-case"] == 2.0 / 1215.0
         assert cert.best == pytest.approx(2.0 / 1215.0)
+        # tree-general ties the corollary, and the first largest source wins
+        assert cert.best_source == "tree-general"
 
     def test_single_edge_exact_ratios(self):
         cert = certified_bound(make_graph(2, [(0, 1)]))
-        assert cert.mst["l"] == 1
+        assert cert.tree.edge_count == 1
         assert cert.ratios["dmu_over_dmu_prime"] == pytest.approx(1.0)
         assert cert.ratios["dmu_prime_over_dmu"] == pytest.approx(1.0)
         assert cert.ratios["w_prime_over_w"] == pytest.approx(2.0)
@@ -267,6 +270,49 @@ class TestBounds:
         assert certified_bound(g).to_json() == certified_bound(g).to_json()
         doc = certified_bound(g).to_json()
         assert '"schema_version": 1' in doc
+
+
+def seeded_measured_graph(n: int, seed: int):
+    """A seeded random spanning tree plus n // 3 extra edges, weights in
+    [0.5, 2] and a random measure."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 3:
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((u, v))
+    weights = rng.uniform(0.5, 2.0, size=len(edges))
+    m = rng.uniform(0.5, 2.0, size=n)
+    return make_graph(n, [(u, v, float(w)) for (u, v), w in zip(sorted(edges), weights)],
+                      m / m.sum())
+
+
+GOLDEN_GRAPHS = {
+    "C4": lambda: make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "C5": lambda: make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "star4": lambda: make_graph(4, [(0, 1), (0, 2), (0, 3)]),
+    "K2": lambda: make_graph(2, [(0, 1)]),
+    "weighted-measured-6": lambda: make_graph(
+        6, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5), (3, 4, 0.7), (4, 5, 1.25),
+            (0, 5, 0.9), (1, 4, 1.1)], [0.1, 0.25, 0.15, 0.2, 0.05, 0.25]),
+    "seeded-measured-300": lambda: seeded_measured_graph(300, 300),
+}
+
+# sha256 of each golden graph's certificate JSON.  A change that moves a
+# certified number or the certificate's layout updates these on purpose.
+CERTIFICATE_SHA256 = {
+    "C4": "fae71171fef0acaa19ea18d738fa4fd52ad1aa9d3aa5081e983b006beb20ef16",
+    "C5": "ee3e1d82d6fb7f97b47fc3911dd4ef16d8a9ebce7e5df62c109b0ffeb3187f00",
+    "star4": "075ac859edb5614c1393008ca17a7a224d7ef0cdc2b98a31ab0a949f20b247c3",
+    "K2": "f03c70860abca04ca0745fd7fe22f204bba50ccbf840a7d614e83a42aaff1105",
+    "weighted-measured-6": "8dc170d6e72ee753a83c4250096b473491001b45cebe47a823568726f55b8a1f",
+    "seeded-measured-300": "adf63f64259cb3cb40c5c84c44c182b503947876de6756107dd51af4060e5be6",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GRAPHS))
+def test_certificate_is_byte_identical_to_its_golden_digest(name):
+    text = certified_bound(GOLDEN_GRAPHS[name]()).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[name]
 
 
 class TestLindbladBound:
