@@ -9,8 +9,8 @@ spectral   dense Hermitian eigencalculus, double operator integrals,
 graphs     graph ingestion, spanning trees, traversal covers, certified
            combinatorial bounds
 entropy    entropy and Fisher-information functionals (and p-variants)
-lindblad   edge generators, graph generators on M_n, conditional
-           expectations, gradient-estimate checker
+lindblad   edge generators, graph generators on M_n, the builtin target
+           table, conditional expectations, gradient-estimate checker
 estimator  multistart ratio minimization, decay curves, sandwich harness
 batteries  named verification batteries behind ``clsibound verify``
 cli        command-line interface

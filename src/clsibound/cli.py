@@ -4,9 +4,9 @@ Subcommands: bound, estimate, decay, verify; each takes only the options
 it reads.  ``bound`` prints the best certified graph bound and its
 transfer to the matrix generator; ``--out`` writes the full certificate,
 MST and traversal cover included.  ``estimate`` and ``decay`` take exactly
-one of ``--target`` (a builtin system) and ``--graph PATH``, of dimension
-at most MAX_TARGET_DIM; every ordering ``estimate`` checks has the fixed
-``estimator.ORDERING_SLACK``.  Machine output goes to stdout as key=value
+one of ``--target`` (a row of ``lindblad.TARGETS``) and ``--graph PATH``,
+of dimension at most MAX_TARGET_DIM; ``estimate`` reports the orderings
+``estimator`` finds violated.  Machine output goes to stdout as key=value
 lines (17-significant-digit decimals); human messages go to stderr.  Files
 are written atomically.
 
@@ -51,12 +51,10 @@ EXIT_DECAY = 5
 EXIT_VERIFY = 6
 EXIT_NUMERICAL = 7
 
-# Largest |d_i| of an intspec:d0,d1,... target: keeps the generator's rates
-# (d_i - d_j)^2 <= 4e12, far from overflow, and its eigenvalues' rounding
-# far below the integer-spectrum tolerance.
-INTSPEC_MAX = 1e6
 # Largest dimension n of a target, whose superoperator is n^2 x n^2.
 MAX_TARGET_DIM = 32
+# Most points of a decay grid, each one propagation and one entropy.
+MAX_DECAY_POINTS = 10_000
 
 # (exception types, exit code, stderr line): the first matching row wins.
 ERRORS = (
@@ -84,43 +82,27 @@ def _read_graph(path: str) -> graphs.WeightedGraph:
 
 
 def _build_target(args):
-    """Resolve --target (pauli | depolarizing:n | intspec:d0,d1,...) or
-    --graph PATH to (superoperator, fixed-point expectation), refusing a
-    dimension above MAX_TARGET_DIM before any n^2 x n^2 array exists."""
-    name = args.target
-    if name is None:
+    """(superoperator, fixed-point expectation, certified lower bound or None)
+    of --target or --graph PATH; the dimension is checked before building."""
+    spec = args.target
+    if spec is None:
         g = _read_graph(args.graph)
         if not graphs.is_connected(g):
             raise DisconnectedGraphError("graph is disconnected")
-        n, build = g.n, partial(lindblad.graph_lindblad, g)
-    elif name == "pauli":
-        n, build = 2, lindblad.pauli_system
-    elif name.startswith("depolarizing:"):
-        n = int(name.split(":", 1)[1])
-        build = partial(lindblad.depolarizing, n)
-    elif name.startswith("intspec:"):
-        diag = np.diag(_intspec(name)).astype(complex)
-        n, build = len(diag), partial(lindblad.integer_spectrum_lindblad, diag)
+        n, build, certified = g.n, partial(lindblad.graph_lindblad, g), None
     else:
-        raise GraphFormatError(f"unknown target {name!r}")
+        prefix = spec.partition(":")[:2]
+        row = next((row for row in lindblad.TARGETS
+                    if row[0].partition(":")[:2] == prefix), None)
+        if row is None:
+            raise GraphFormatError(f"unknown target {spec!r}")
+        _, dimension, build_spec, certify = row
+        n, build = dimension(spec), partial(build_spec, spec)
+        certified = None if certify is None else certify(spec)
     if n > MAX_TARGET_DIM:
         raise ValueError(f"target dimension {n} exceeds MAX_TARGET_DIM = {MAX_TARGET_DIM}")
     s = build()
-    return s, fixed_point_dim(s).expectation
-
-
-def _intspec(name: str) -> list:
-    """The diagonal d0, d1, ... of ``intspec:d0,d1,...`` as finite floats of
-    magnitude at most INTSPEC_MAX."""
-    try:
-        diag = [float(x) for x in name.split(":", 1)[1].split(",")]
-    except ValueError:
-        diag = None
-    if diag is None or not all(math.isfinite(d) and abs(d) <= INTSPEC_MAX
-                               for d in diag):
-        raise ValueError(f"{name}: entries must be finite numbers of magnitude "
-                         f"at most {INTSPEC_MAX:g}")
-    return diag
+    return s, fixed_point_dim(s).expectation, certified
 
 
 def _initial_state(spec: str, s) -> np.ndarray:
@@ -163,18 +145,14 @@ def cmd_estimate(args) -> int:
         _emit("gap_matrix", report.gap_matrix)
         _emit("sandwich", "pass" if report.passed else "fail")
         if args.out:
-            doc = report.to_json_dict()
-            doc["schema_version"] = 1
-            doc["matrix_report"] = report.matrix.to_json_dict()
-            doc["classical_report"] = report.classical.to_json_dict()
-            serialize.atomic_write_text(args.out, serialize.dumps(doc, indent=2) + "\n")
+            serialize.atomic_write_text(args.out, report.to_json())
             _err(f"report written to {args.out}")
         if not report.passed:
             _err("sandwich ordering violated: " + ", ".join(report.failed_pairs))
             return EXIT_SANDWICH
         return EXIT_OK
 
-    s, e_fix = _build_target(args)
+    s, e_fix, certified = _build_target(args)
     if args.p is not None:
         report = estimator.cpsi_estimate(s, e_fix, args.p, opts, target=args.target)
     elif (args.m or 1) > 1:
@@ -187,18 +165,15 @@ def cmd_estimate(args) -> int:
     if args.out:
         serialize.atomic_write_text(args.out, report.to_json())
         _err(f"report written to {args.out}")
-    orderings = [("estimate<=2*gap", report.value, 2.0 * gap)]
-    if s.certified_lower is not None:
-        orderings.append(("certified<=estimate", s.certified_lower, report.value))
-    for name, lhs, rhs in orderings if args.p is None else ():
-        if not estimator.ordering_holds(lhs, rhs):
+    for name, lhs, rhs, ok in estimator.target_orderings(report, gap, certified):
+        if not ok:
             _err(f"ordering violated: {name} ({lhs!r} > {rhs!r} + slack)")
             return EXIT_SANDWICH
     return EXIT_OK
 
 
 def cmd_decay(args) -> int:
-    s, e_fix = _build_target(args)
+    s, e_fix, _ = _build_target(args)
     rho0 = _initial_state(args.state, s)
     grid = np.linspace(args.t_start, args.t_stop, args.t_count)
     curve = estimator.decay_curve(s, e_fix, rho0, grid)
@@ -229,6 +204,14 @@ def _int_in(low: int, high: float = math.inf):
     return parse
 
 
+def _time(text: str) -> float:
+    """An argparse type: a finite time t >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite time >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clsibound",
@@ -244,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         if "target" in options:
             choice = p.add_mutually_exclusive_group(required=True)
-            choice.add_argument("--target", help="pauli | depolarizing:n | intspec:d0,d1,...")
+            choice.add_argument("--target", help=" | ".join(
+                form for form, *_ in lindblad.TARGETS))
             choice.add_argument("--graph", help="graph JSON file")
         if "out" in options:
             p.add_argument("--out", help="output file path")
@@ -265,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = add("decay", cmd_decay, "entropy decay curve", "target", "out")
     p_dec.add_argument("--state", default="random:0",
                        help="random:SEED | zwitness | fixed | path to matrix JSON")
-    p_dec.add_argument("--t-start", type=float, default=0.0, dest="t_start")
-    p_dec.add_argument("--t-stop", type=float, default=3.0, dest="t_stop")
-    p_dec.add_argument("--t-count", type=int, default=25, dest="t_count")
+    p_dec.add_argument("--t-start", type=_time, default=0.0)
+    p_dec.add_argument("--t-stop", type=_time, default=3.0)
+    p_dec.add_argument("--t-count", type=_int_in(2, MAX_DECAY_POINTS + 1), default=25)
 
     p_ver = add("verify", cmd_verify, "run the property batteries")
     p_ver.add_argument("--only", help="run one named battery")

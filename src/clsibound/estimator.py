@@ -1,6 +1,6 @@
 """Numeric MLSI/CpSI estimation by ratio minimization, entropy-decay curves,
-and the sandwich harness that reconciles certified bounds with brute-force
-estimates.
+and the orderings (``ordering_rows``) and sandwich harness that reconcile
+certified bounds with brute-force estimates.
 
 States are parametrized by ``spectral.gibbs_state``, rho(H) = n exp(H)/tr exp(H)
 over Hermitian H (strictly positive, unit normalized trace by construction),
@@ -96,7 +96,6 @@ class EstimateReport:
     per_restart: list
     options: EstimateOptions
     p: Optional[float] = None
-    sandwich: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -119,8 +118,6 @@ class EstimateReport:
             doc["witness"] = serialize.vector_to_json(self.witness)
         if self.p is not None:
             doc["p"] = self.p
-        if self.sandwich is not None:
-            doc["sandwich"] = self.sandwich
         return doc
 
     def to_json(self) -> str:
@@ -455,9 +452,10 @@ class DecayCurve:
 
 def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
     """Entropy decay rows (t, D(T_t rho0 || E rho0), ln D) and the
-    least-squares rate of ln D (only points with D above the floor enter the
-    fit).  D must be non-increasing along the grid, and every state on it
-    must clear the positivity floor of ``entropy.lindblad_rel_entropy``."""
+    least-squares rate of ln D.  Only points with D above DECAY_VALUE_FLOOR
+    enter the fit, and at least two must; below it ln D is nan.  The grid
+    must be finite, D non-increasing along it, and every state on it must
+    clear the positivity floor of ``entropy.lindblad_rel_entropy``."""
     rho0 = np.asarray(rho0, dtype=complex)
     n = s.dim
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() <= 0:
@@ -470,6 +468,8 @@ def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
         raise NumericalIntegrityError("fixed-point projection is not positive")
 
     ts = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("t grid must be finite")
     if len(ts) < 2 or np.any(np.diff(ts) <= 0):
         raise ValueError("t grid must be strictly increasing with >= 2 points")
     if ts[0] < 0:
@@ -489,38 +489,25 @@ def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
             f"relative entropy increased by {worst:.3e} along the semigroup")
 
     keep = values > DECAY_VALUE_FLOOR
+    if keep.sum() < 2:
+        raise ValueError(f"fewer than two points of the t grid have D above "
+                         f"{DECAY_VALUE_FLOOR:g}: no rate to fit")
     log_values = np.where(keep, np.log(np.clip(values, 1e-300, None)), np.nan)
-    if keep.sum() >= 2:
-        slope = np.polyfit(ts[keep], np.log(values[keep]), 1)[0]
-        rate = -float(slope)
-    else:
-        rate = math.nan
+    rate = -float(np.polyfit(ts[keep], np.log(values[keep]), 1)[0])
     return DecayCurve(ts=ts, values=values, log_values=log_values, fitted_rate=rate)
 
 
-def _hermitian_gap_direction(s: SpectralSuperoperator) -> Optional[np.ndarray]:
-    """A unit-norm Hermitian matrix in the spectral-gap eigenspace; seeds a
-    near-fixed-point start whose ratio sits at 2*gap."""
-    w = s.eigenvalues
-    idx = np.where(w > 1e-9)[0]
-    if len(idx) == 0:
-        return None
-    b = unvec(s.eigenvectors[:, idx[0]], s.dim)
+def gap_seed_matrix(s: SpectralSuperoperator) -> np.ndarray:
+    """Parameters of a near-fixed-point start, whose ratio sits at 2*gap,
+    along a unit-norm Hermitian h in the spectral-gap eigenspace: the
+    Hermitian part of the unit gap eigenvector b, or i times its
+    anti-Hermitian part where the first is below 1e-6 (the two parts are
+    orthogonal, so that one then has norm ~1)."""
+    b = unvec(s.eigenvectors[:, np.where(s.eigenvalues > 1e-9)[0][0]], s.dim)
     h = 0.5 * (b + b.conj().T)
     if np.linalg.norm(h) < 1e-6:
         h = 0.5j * (b - b.conj().T)
-    norm = np.linalg.norm(h)
-    if norm < 1e-12:
-        return None
-    return h / norm
-
-
-def gap_seed_matrix(s: SpectralSuperoperator) -> Optional[np.ndarray]:
-    """Parameter vector for a start along the spectral-gap direction."""
-    h = _hermitian_gap_direction(s)
-    if h is None:
-        return None
-    return _kernels.params_from_hermitian(GAP_SEED_SCALE * h)
+    return _kernels.params_from_hermitian(GAP_SEED_SCALE * (h / np.linalg.norm(h)))
 
 
 def gap_seed_classical(a: np.ndarray) -> np.ndarray:
@@ -536,6 +523,22 @@ def ordering_holds(lhs: float, rhs: float) -> bool:
     absolute while |rhs| <= 1, relative above, so rounding in a large rate
     is not read as a violation."""
     return bool(lhs <= rhs + ORDERING_SLACK * max(1.0, abs(rhs)))
+
+
+def ordering_rows(triples) -> list:
+    """(name, lhs, rhs, ok) rows, ok by ``ordering_holds``, of (name, lhs, rhs)
+    triples; a triple whose lhs (a certificate) is None has no row."""
+    return [(name, float(lhs), float(rhs), ordering_holds(float(lhs), float(rhs)))
+            for name, lhs, rhs in triples if lhs is not None]
+
+
+def target_orderings(report: EstimateReport, gap: float, certified=None) -> list:
+    """The ordering rows of a target's estimate: estimate <= 2*gap and, when
+    the target carries a certified lower bound, certified <= estimate; none
+    for a p-Sobolev estimate."""
+    return [] if report.p is not None else ordering_rows([
+        ("estimate<=2*gap", report.value, 2.0 * gap),
+        ("certified<=estimate", certified, report.value)])
 
 
 @dataclass
@@ -577,6 +580,15 @@ class SandwichReport:
             "passed": self.passed,
         }
 
+    def to_json(self) -> str:
+        """The ``estimate --graph --out`` document: this summary, then the
+        two estimates' reports, each ending with the summary as "sandwich"."""
+        def nest(report):
+            return dict(report.to_json_dict(), sandwich=self.to_json_dict())
+        doc = dict(self.to_json_dict(), schema_version=1, matrix_report=nest(self.matrix),
+                   classical_report=nest(self.classical))
+        return serialize.dumps(doc, indent=2) + "\n"
+
 
 def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
                    label: str = "") -> SandwichReport:
@@ -613,29 +625,19 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
     s = graph_lindblad(g)
     gap_m = spectral_gap(s)
     e_fix = fixed_point_dim(s).expectation
-    matrix_starts = []
     diag_embed = np.zeros(g.n * g.n)
     diag_embed[:g.n] = np.log(classical.witness)
-    matrix_starts.append(diag_embed)
-    gap_start = gap_seed_matrix(s)
-    if gap_start is not None:
-        matrix_starts.append(gap_start)
-    matrix = mlsi_estimate(s, e_fix, opts, extra_starts=matrix_starts,
+    matrix = mlsi_estimate(s, e_fix, opts, extra_starts=[diag_embed, gap_seed_matrix(s)],
                            target=(label or f"graph(n={g.n})") + ":matrix")
 
-    orderings = []
-
-    def add(name, lhs, rhs):
-        lhs, rhs = float(lhs), float(rhs)
-        orderings.append((name, lhs, rhs, ordering_holds(lhs, rhs)))
-
-    add("lindblad-certified<=matrix-estimate", cert.lindblad_lower, matrix.value)
-    add("matrix-estimate<=classical-estimate", matrix.value, classical.value)
-    add("graph-certified<=classical-estimate", cert.best, classical.value)
-    add("classical-estimate<=2*classical-gap", classical.value, 2.0 * gap_c)
-    add("matrix-estimate<=2*matrix-gap", matrix.value, 2.0 * gap_m)
-
-    report = SandwichReport(
+    orderings = ordering_rows([
+        ("lindblad-certified<=matrix-estimate", cert.lindblad_lower, matrix.value),
+        ("matrix-estimate<=classical-estimate", matrix.value, classical.value),
+        ("graph-certified<=classical-estimate", cert.best, classical.value),
+        ("classical-estimate<=2*classical-gap", classical.value, 2.0 * gap_c),
+        ("matrix-estimate<=2*matrix-gap", matrix.value, 2.0 * gap_m),
+    ])
+    return SandwichReport(
         graph_label=label or f"graph(n={g.n},edges={g.edge_count})",
         certificate_best=cert.best,
         lindblad_certified=cert.lindblad_lower,
@@ -645,6 +647,3 @@ def sandwich_check(g: WeightedGraph, opts: Optional[EstimateOptions] = None,
         gap_matrix=gap_m,
         orderings=orderings,
     )
-    classical.sandwich = report.to_json_dict()
-    matrix.sandwich = report.to_json_dict()
-    return report

@@ -1,7 +1,7 @@
 """Graph-indexed matrix generators and conditional expectations: edge
 antisymmetric generators, the graph double-commutator generator on M_n,
-Schur-mask pinchings, kernel projections, and the worked two-level
-examples.
+Schur-mask pinchings, kernel projections, the worked two-level examples,
+and ``TARGETS``, the table of builtin targets that ``--target`` names.
 
 The n = 2 single-edge case is a documented anomaly: the commutant of the one
 edge generator in M_2 is two-dimensional, so the fixed-point dimension is 2
@@ -12,7 +12,7 @@ module assumes ergodicity; kernels are always computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,7 +90,6 @@ class ConditionalExpectation:
 
     def superop_matrix(self) -> np.ndarray:
         """The projection as an n^2 x n^2 matrix on vectorized inputs."""
-        n = self.dim
         if self.mask is not None:
             return np.diag(vec(self.mask.astype(complex)))
         vecs = np.stack([vec(b) for b in self.basis])
@@ -208,7 +207,7 @@ def depolarizing(n: int) -> SpectralSuperoperator:
 
 def integer_spectrum_lindblad(x) -> SpectralSuperoperator:
     """Single-generator rho -> [x, [x, rho]] for Hermitian x with integer
-    spectrum; carries the analytic lower bound 1/(5 pi^2)."""
+    spectrum; its lower bound 1/(5 pi^2) is the ``intspec:`` row's certificate."""
     x = require_hermitian(x, what="integer-spectrum generator")
     w = np.linalg.eigvalsh(x)
     off = np.abs(w - np.round(w)).max()
@@ -216,8 +215,47 @@ def integer_spectrum_lindblad(x) -> SpectralSuperoperator:
         raise ValueError(
             f"generator spectrum is {off:.3e} away from integers "
             f"(tol {INTEGER_SPECTRUM_TOL:.0e})")
-    s = superop_from_generators([x], label="integer-spectrum")
-    return replace(s, certified_lower=SPHERE_TRANSFER_CONSTANT)
+    return superop_from_generators([x], label="integer-spectrum")
+
+
+def _depolarizing_dim(spec: str) -> int:
+    """The n of ``depolarizing:n``."""
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"{spec}: n must be an integer") from None
+
+
+# Largest |d_i| of an intspec:d0,d1,... target: keeps the generator's rates
+# (d_i - d_j)^2 <= 4e12, far from overflow, and its eigenvalues' rounding
+# far below the integer-spectrum tolerance.
+INTSPEC_MAX = 1e6
+
+
+def _intspec(spec: str) -> list:
+    """The diagonal d0, d1, ... of ``intspec:d0,d1,...`` as finite floats of
+    magnitude at most INTSPEC_MAX."""
+    try:
+        diag = [float(x) for x in spec.split(":", 1)[1].split(",")]
+    except ValueError:
+        diag = [math.nan]
+    if not all(math.isfinite(d) and abs(d) <= INTSPEC_MAX for d in diag):
+        raise ValueError(f"{spec}: entries must be finite numbers of magnitude "
+                         f"at most {INTSPEC_MAX:g}")
+    return diag
+
+
+# Builtin targets: (form, dimension(spec), build(spec), certified lower
+# bound(spec) or None).  A spec picks the row whose form matches it up to
+# and including a ":"; a malformed one fails in dimension(), naming itself.
+TARGETS = (
+    ("pauli", lambda spec: 2, lambda spec: pauli_system(), None),
+    ("depolarizing:n", _depolarizing_dim,
+     lambda spec: depolarizing(_depolarizing_dim(spec)), None),
+    ("intspec:d0,d1,...", lambda spec: len(_intspec(spec)),
+     lambda spec: integer_spectrum_lindblad(np.diag(_intspec(spec)).astype(complex)),
+     lambda spec: SPHERE_TRANSFER_CONSTANT),
+)
 
 
 @dataclass(frozen=True)

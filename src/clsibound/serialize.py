@@ -127,7 +127,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def decay_csv(ts, ds, lnds) -> str:
+    """Rows t,D,lnD; a nan lnD (D below the decay floor) is an empty cell."""
     lines = ["t,D,lnD"]
     for t, d, lnd in zip(ts, ds, lnds):
-        lines.append(f"{fmt17(t)},{fmt17(d)},{fmt17(lnd)}")
+        lines.append(f"{fmt17(t)},{fmt17(d)},{'' if math.isnan(lnd) else fmt17(lnd)}")
     return "\n".join(lines) + "\n"

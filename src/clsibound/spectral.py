@@ -284,8 +284,7 @@ class SpectralSuperoperator:
 
     ``generators`` carries the Hermitian a_k of a double-commutator
     representation when one exists (enables the derivation form of the
-    Fisher information); ``certified_lower`` carries an attached analytic
-    CLSI lower bound when one is known for the construction.
+    Fisher information).
     """
 
     dim: int
@@ -293,7 +292,6 @@ class SpectralSuperoperator:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     generators: Optional[tuple] = None
-    certified_lower: Optional[float] = None
     label: str = ""
 
     @staticmethod
@@ -377,6 +375,8 @@ def semigroup_apply(s: SpectralSuperoperator, t: float, rho) -> np.ndarray:
     return _propagate(s, t, rho)
 
 
+# At a huge finite t, t * lambda overflows to inf and e^-inf = 0 is right.
+@np.errstate(over="ignore")
 def _propagate(s: SpectralSuperoperator, t: float, rho) -> np.ndarray:
     """Internal propagator without the sign restriction (used by derivative
     checks that need a central difference at t = 0)."""

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clsibound import batteries, cli, exceptions, serialize
+from clsibound import batteries, cli, estimator, exceptions, lindblad, serialize
 from clsibound.exceptions import (
     ConsistencyError,
     DegenerateStartError,
@@ -209,6 +209,22 @@ class TestEstimate:
     def test_unknown_target(self, capsys):
         assert cli.main(["estimate", "--target", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("form, spec", [
+        (form, form.partition(":")[0] + ":" + arg)
+        for form, *_ in lindblad.TARGETS for arg in ("x", "", "1,,2")],
+        ids=lambda v: v)
+    def test_malformed_target_spec_names_itself(self, form, spec, capsys):
+        # a row that takes an argument names the spec; one that takes none
+        # (pauli) does not match a spec with an argument at all
+        code = cli.main(["estimate", "--target", spec, "--restarts", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        if ":" in form:
+            assert line.startswith(f"error: {spec}: ")
+        else:
+            assert line == f"error: unknown target {spec!r}"
+
     @pytest.mark.parametrize("extra", [[], ["--m", "2"]], ids=["m1", "m2"])
     def test_certified_lower_above_the_estimate_exit_four(self, monkeypatch, capsys,
                                                           extra):
@@ -304,6 +320,33 @@ class TestDecay:
         assert code == 0
         expected = batteries.random_state(np.random.default_rng(5), n)
         assert len(seen) == 1 and np.array_equal(seen[0], expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["--target", "pauli", "--t-stop", "30"],
+        ["--target", "depolarizing:3", "--t-stop", "40", "--t-count", "5"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_values_below_the_floor_get_an_empty_lnD_cell(self, tmp_path, capsys, argv):
+        csv_path = tmp_path / "decay.csv"
+        code = cli.main(["decay", *argv, "--out", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 0 and float(grep(captured.out, "fitted_rate")) > 1.9
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        below = [float(d) <= estimator.DECAY_VALUE_FLOOR for _, d, _ in rows]
+        assert any(below) and not all(below)
+        for (_, d, lnd), empty in zip(rows, below):
+            assert lnd == ("" if empty else serialize.fmt17(np.log(float(d))))
+
+    def test_huge_finite_time_prints_no_warning(self, capsys):
+        # t * lambda overflows to inf, and e^-inf = 0 is the right phase; only
+        # t = 0 is left above the floor, so no rate can be fitted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["decay", "--target", "pauli", "--t-stop", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: fewer than two points of the t grid have D above 1e-12: "
+            "no rate to fit"]
 
     def test_non_hermitian_state_file_exit_two(self, tmp_path, capsys):
         rho = np.array([[1.0, 0.3], [0.0, 1.0]])
@@ -476,6 +519,12 @@ class TestOptions:
         ["estimate", "--target", "pauli", "--tol=-1e-8"],
         ["verify", "--trials", "0"],
         ["verify", "--trials", "-3"],
+        ["decay", "--target", "pauli", "--t-count", "1000000000000000"],
+        ["decay", "--target", "pauli", "--t-count", str(cli.MAX_DECAY_POINTS + 1)],
+        ["decay", "--target", "pauli", "--t-count", "1"],
+        ["decay", "--target", "pauli", "--t-stop", "nan"],
+        ["decay", "--target", "pauli", "--t-stop", "inf"],
+        ["decay", "--target", "pauli", "--t-start=-1"],
     ], ids=lambda argv: " ".join(argv[1:]))
     def test_out_of_range_number_exit_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -490,6 +539,20 @@ class TestOptions:
         assert (args.seed, args.restarts, args.m) == (2 ** 64 - 1, 1, 1)
         args = cli.build_parser().parse_args(["verify", "--trials", "1"])
         assert args.trials == 1
+        args = cli.build_parser().parse_args(
+            ["decay", "--target", "pauli", "--t-count", str(cli.MAX_DECAY_POINTS),
+             "--t-start", "0", "--t-stop", "1e308"])
+        assert (args.t_count, args.t_start, args.t_stop) == (cli.MAX_DECAY_POINTS, 0.0, 1e308)
+
+    def test_target_lists_match_the_table(self):
+        forms = [form for form, *_ in lindblad.TARGETS]
+        readme = re.search(r"`--target` \(a builtin system: ([^)]*)\)", README.read_text())
+        assert re.findall(r"`([^`]+)`", readme.group(1)) == forms
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name in ("estimate", "decay"):
+            [target] = [a for a in sub.choices[name]._actions if "--target" in a.option_strings]
+            assert target.help.split(" | ") == forms
 
     @pytest.mark.parametrize("argv, n", [
         (["estimate", "--target", "depolarizing:1000", "--restarts", "1"], 1000),

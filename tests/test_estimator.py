@@ -1,10 +1,12 @@
 """Multistart estimator, decay curves, amplification probe, sandwich
 harness."""
 
+import json
+
 import numpy as np
 import pytest
 
-from clsibound import _kernels, batteries, estimator, lindblad, spectral
+from clsibound import _kernels, batteries, estimator, lindblad, serialize, spectral
 from clsibound.estimator import (
     ORDERING_SLACK,
     EstimateOptions,
@@ -17,7 +19,9 @@ from clsibound.estimator import (
     mlsi_estimate,
     nelder_mead,
     ordering_holds,
+    ordering_rows,
     sandwich_check,
+    target_orderings,
 )
 from clsibound.exceptions import DegenerateStartError
 from clsibound.graphs import make_graph
@@ -336,6 +340,36 @@ class TestSandwich:
         assert not ordering_holds(0.5 + 2e-6, 0.5)
         assert ordering_holds(2.0000000000673076e6, 2e6)
         assert not ordering_holds(2e6 * (1 + 1e-5), 2e6)
+
+    def test_ordering_rows_judge_each_triple_and_skip_a_missing_lhs(self):
+        rows = ordering_rows([("a", np.float64(1.0), 2), ("b", None, 0.0),
+                              ("c", 3.0, 1.0)])
+        assert rows == [("a", 1.0, 2.0, True), ("c", 3.0, 1.0, False)]
+        assert all(type(lhs) is float and type(rhs) is float
+                   for _, lhs, rhs, _ in rows)
+
+    def test_target_orderings(self):
+        s = pauli_system()
+        report = mlsi_estimate(s, trace_expectation(2), EstimateOptions(restarts=2, seed=1))
+        assert target_orderings(report, 1.0) == [
+            ("estimate<=2*gap", report.value, 2.0, True)]
+        assert [row[0] for row in target_orderings(report, 1.0, 2.5)] == [
+            "estimate<=2*gap", "certified<=estimate"]
+        assert not target_orderings(report, 1.0, 2.5)[1][3]
+        report.p = 1.5
+        assert target_orderings(report, 0.1, 2.5) == []
+
+    def test_sandwich_json_nests_the_summary_in_each_report(self):
+        report = sandwich_check(make_graph(3, [(0, 1), (1, 2), (0, 2)]),
+                                EstimateOptions(restarts=2, seed=3))
+        doc = json.loads(report.to_json())
+        summary = report.to_json_dict()
+        assert list(doc) == [*summary, "schema_version", "matrix_report",
+                             "classical_report"]
+        for key, estimate in (("matrix_report", report.matrix),
+                              ("classical_report", report.classical)):
+            assert list(doc[key]) == [*estimate.to_json_dict(), "sandwich"]
+            assert doc[key]["sandwich"] == json.loads(serialize.dumps(summary))
 
 
 class TestScalingInvariance:

@@ -199,7 +199,8 @@ class TestWorkedSystems:
         np.testing.assert_allclose(s.eigenvalues, [0, 0, 1, 1], atol=1e-12)
         s3 = integer_spectrum_lindblad(np.diag([0.0, 1.0, 2.0]).astype(complex))
         assert sorted(set(np.round(s3.eigenvalues).astype(int))) == [0, 1, 4]
-        assert s.certified_lower == pytest.approx(1.0 / (5.0 * np.pi ** 2))
+        certify = next(row for row in lindblad.TARGETS if row[0].startswith("intspec:"))[3]
+        assert certify("intspec:0,1") == pytest.approx(1.0 / (5.0 * np.pi ** 2))
 
     def test_integer_spectrum_rejects(self):
         with pytest.raises(ValueError, match="integers"):

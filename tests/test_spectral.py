@@ -258,6 +258,14 @@ class TestSemigroup:
             assert abs(np.trace(out).real - np.trace(rho).real) < 1e-10
             assert np.linalg.eigvalsh(out).min() > -1e-10
 
+    def test_huge_finite_time_is_the_kernel_projection_without_warning(self):
+        # t * lambda overflows to inf; e^-inf = 0 is the right phase
+        rng = np.random.default_rng(10)
+        s = superop_from_generators([X / 2, Y / 2])
+        rho = rand_positive(rng, 2)
+        projected = np.trace(rho) / 2.0 * np.eye(2)
+        assert np.abs(semigroup_apply(s, 1e308, rho) - projected).max() < 1e-12
+
     def test_negative_time_rejected(self):
         s = superop_from_generators([X / 2])
         with pytest.raises(ValueError):
