@@ -2,11 +2,14 @@
 """Benchmark the hot kernels and check their values.
 
 Times each kernel per call, the value-gradient kernels of the L-BFGS search
-next to the ratio objectives, then checks every kernel value against an
-independent evaluation: the ratio objectives against the ``entropy``
-functionals at the witness state, the DOI kernel matrix against its closed
-form.  Any relative disagreement above 1e-10 fails the run, and so does a
-value-gradient ratio that is not the ratio objective's bit for bit.
+next to the ratio objectives, and the stacked value-gradient kernel that
+the lockstep multistart calls, per restart evaluation at stacks of R = 1, 12
+and 48 rows.  Then checks every kernel value against an independent
+evaluation: the ratio objectives against the ``entropy`` functionals at the
+witness state, the DOI kernel matrix against its closed form.  Any relative
+disagreement above 1e-10 fails the run, and so do a value-gradient ratio
+that is not the ratio objective's bit for bit and a stacked row whose value
+or gradient is not its single-theta call's bit for bit.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -22,6 +25,9 @@ from clsibound.graphs import make_graph
 from clsibound.spectral import superop_from_generators
 
 GATE = 1e-10
+# Rows of the stacked value-gradient kernel, as the lockstep multistart
+# passes them: one live restart, the acceptance restarts, a larger estimate.
+STACKS = (1, 12, 48)
 
 
 def build_case(n, seed):
@@ -52,6 +58,7 @@ def main() -> int:
     timings = {}
     pairs = {}  # name -> (kernel values, reference values)
     unequal = []  # value-gradient kernels whose ratio differs from *_terms
+    unstacked = []  # stacked rows that differ from their single-theta call
 
     x = np.linspace(0.1, 8.0, 64)
     timings["kernel_matrix(64x64)"] = timeit(
@@ -85,6 +92,18 @@ def main() -> int:
             unequal.append(f"mlsi(n={n})")
         if values[2] != values[3]:
             unequal.append(f"cpsi(n={n})")
+        thetas = np.random.default_rng(100 + n).normal(size=(max(STACKS), n * n))
+        for rows in STACKS:
+            stack = thetas[:rows]
+            timings[f"stacked value_grad(n={n}, R={rows})"] = timeit(
+                lambda: _kernels._ratio_value_grad(stack, s.matrix, eproj, n, None),
+                max(1, args.repeats // rows)) / rows
+        ratios, grads = _kernels._ratio_value_grad(thetas, s.matrix, eproj, n, None)
+        for row, one in enumerate(thetas):
+            ratio, grad = _kernels.mlsi_value_grad(one, s.matrix, eproj, n)
+            if (ratios[row].tobytes() != np.float64(ratio).tobytes()
+                    or grads[row].real.tobytes() != np.asarray(grad).tobytes()):
+                unstacked.append(f"n={n} row {row}")
         rho = estimator._MatrixObjective(s, e).witness(theta)
         sigma = e(rho)
         _, fisher, d = _kernels.mlsi_terms(theta, s.matrix, eproj, n)
@@ -105,9 +124,9 @@ def main() -> int:
     f = objective.witness(ctheta)
     pairs["classical"] = ([fisher, d], [entropy.fisher_graph(g, f), entropy.entropy_graph(g, f)])
 
-    print(f"{'kernel':32s} {'us/call':>12s}")
+    print(f"{'kernel':36s} {'us/call':>12s}  (stacked: us per restart evaluation)")
     for key, us in timings.items():
-        print(f"{key:32s} {us:12.2f}")
+        print(f"{key:36s} {us:12.2f}")
 
     worst = 0.0
     for key, (values, reference) in pairs.items():
@@ -121,6 +140,10 @@ def main() -> int:
     if unequal:
         print(f"ERROR: value-gradient ratio differs from the ratio objective: "
               f"{', '.join(unequal)}", file=sys.stderr)
+        failed = True
+    if unstacked:
+        print(f"ERROR: stacked value-gradient rows differ from their single-theta "
+              f"calls: {', '.join(unstacked)}", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -7,10 +7,17 @@ use too, so an objective and its independent functional share one formula.
 The gradients are built from the same eigendecompositions and the DOI
 kernel matrix (Daleckii-Krein divided differences), and return the
 objective's ratio bit for bit.
-The kernel matrix stays a plain loop: at the few-eigenvalue sizes of the
-DOI calls it is faster than the broadcast form.  Matrix products use
-``ndarray.dot``, whose call overhead at these sizes is well under that of
-the ``@`` operator.
+
+The matrix objectives have one body, over an (R, n^2) stack of parameter
+vectors: the lockstep L-BFGS of ``estimator`` evaluates every live restart
+in one call, and the single-parameter kernels are stacks of one.  Each row
+comes out bit for bit as it would alone: the eigendecompositions run on
+(R, n, n) stacks, the products are ``np.matmul`` on stacks (the
+matrix-vector and inner products as (n^2, 1) and (1, n^2) operands, which
+keep the BLAS routine of the one-row call), and the kernel matrix stays a
+per-row plain loop, whose broadcast form rounds differently.  An excluded
+row (spectral cap breach, broken expectation, entropy under the floor)
+leaves the stack where it is detected and gets (inf, 0).
 """
 
 from __future__ import annotations
@@ -129,58 +136,75 @@ def params_from_hermitian(h: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _state_and_expectation(theta, eproj, n):
-    """Shared head of the matrix ratio objectives.
+def _keep(keep, *stacks):
+    """The stacks restricted to the rows where the mask ``keep`` holds."""
+    return stacks if keep.all() else tuple(x[keep] for x in stacks)
 
-    Returns (p, U, mu, W, overlap, vec_rho): eigenvalues/eigenvectors of rho,
-    eigenvalues of sigma = E(rho) (trace-renormalized), the eigenvectors of
-    sigma in the eigenbasis of rho, W = U* V, the overlap matrix
-    |<u_i|v_j>|^2 = |W_ij|^2, and vec(rho); None flags an excluded point.
+
+def _state_and_expectation(thetas, eproj, n):
+    """Shared head of the matrix ratio objectives over an (R, n^2) stack of
+    parameter vectors.
+
+    Returns (rows, (p, U, mu, W, overlap, vec_rho)): the indices of the
+    included rows and, stacked over them, the eigenvalues/eigenvectors of
+    rho, the eigenvalues of sigma = E(rho) (trace-renormalized), the
+    eigenvectors of sigma in the eigenbasis of rho, W = U* V, the overlap
+    matrix |<u_i|v_j>|^2 = |W_ij|^2, and vec(rho).  A row is excluded at a
+    spectral cap breach or a broken expectation.
     """
-    w, u = np.linalg.eigh(hermitian_from_params(theta, n))
-    if max(w[n - 1], -w[0]) > H_CAP:  # eigh sorts w ascending
-        return None
+    w, u = np.linalg.eigh(np.matmul(_decoder(n), thetas[:, :, None]).reshape(-1, n, n))
+    rows, w, u = _keep(np.maximum(w[:, n - 1], -w[:, 0]) <= H_CAP,  # w ascends
+                       np.arange(len(thetas)), w, u)
     z = np.exp(w)
-    p = (n / z.sum()) * z
-    ud = u.conj().T
-    v = (u * p).dot(ud).T.ravel()
-    raw = eproj.dot(v).reshape(n, n).T
-    tr = raw.trace().real
-    if tr <= 0.0:
-        return None
-    sig = 0.5 * (raw + raw.conj().T) * (n / tr)
+    p = (n / z.sum(axis=1))[:, None] * z
+    ud = u.conj().transpose(0, 2, 1)
+    v = np.matmul(u * p[:, None, :], ud).transpose(0, 2, 1).reshape(-1, n * n)
+    raw = np.matmul(eproj, v[:, :, None]).reshape(-1, n, n).transpose(0, 2, 1)
+    tr = raw.trace(axis1=1, axis2=2).real
+    rows, p, u, ud, v, raw, tr = _keep(tr > 0.0, rows, p, u, ud, v, raw, tr)
+    sig = 0.5 * (raw + raw.conj().transpose(0, 2, 1)) * (n / tr)[:, None, None]
     mu, vmat = np.linalg.eigh(sig)
-    if mu[0] <= _EXPECTATION_FLOOR * mu[n - 1] or mu[0] <= 0.0:
-        return None
-    ov = ud.dot(vmat)
+    keep = (mu[:, 0] > _EXPECTATION_FLOOR * mu[:, n - 1]) & (mu[:, 0] > 0.0)
+    rows, p, u, ud, v, mu, vmat = _keep(keep, rows, p, u, ud, v, mu, vmat)
+    ov = np.matmul(ud, vmat)
     overlap = ov.real * ov.real + ov.imag * ov.imag
-    return p, u, mu, ov, overlap, v
+    return rows, (p, u, mu, ov, overlap, v)
 
 
-def _fisher_parts(theta, superop, eproj, n, p_exp):
-    """Body of the matrix ratio objectives: the (ratio, fisher, entropy)
-    triple, and at an included point the state and the pieces its gradient
-    reuses, (state, f, g, vec A(rho)) with f the shifted eigenvalues of
-    ln rho (p_exp None) or rho^(p-1), and g = U diag(f) U*."""
-    state = _state_and_expectation(theta, eproj, n)
-    if state is None:
-        return (np.inf, 0.0, 0.0), None
+def _fisher_parts(thetas, superop, eproj, n, p_exp):
+    """Body of the matrix ratio objectives over an (R, n^2) stack of
+    parameter vectors.
+
+    Returns the per-row (ratio, fisher, entropy) arrays, with ratio inf,
+    fisher 0 and entropy 0 (or, under the entropy floor, the entropy) on an
+    excluded row, and the pieces the gradient reuses, stacked over the
+    included rows: (rows, state, f, g, vec A(rho)) with f the shifted
+    eigenvalues of ln rho (p_exp None) or rho^(p-1), and g = U diag(f) U*.
+    """
+    ratio = np.full(len(thetas), np.inf)
+    fisher = np.zeros(len(thetas))
+    entropy = np.zeros(len(thetas))
+    rows, state = _state_and_expectation(thetas, eproj, n)
     p, u, mu, _, overlap, v = state
     if p_exp is None:
-        d = (overlap * mu * bregman(p[:, None] / mu)).sum() / n
+        terms = overlap * mu[:, None, :] * bregman(p[:, :, None] / mu[:, None, :])
     else:
-        d = (overlap * bregman_power(p[:, None], mu, p_exp)).sum() / n
-    if d < ENTROPY_FLOOR:
-        return (np.inf, 0.0, d), None
+        terms = overlap * bregman_power(p[:, :, None], mu[:, None, :], p_exp)
+    d = terms.reshape(-1, n * n).sum(axis=1) / n
+    entropy[rows] = d
+    rows, d, *state = _keep(d >= ENTROPY_FLOOR, rows, d, *state)
+    p, u, mu, ov, overlap, v = state
     f = np.log(p) if p_exp is None else p ** (p_exp - 1.0)
-    f -= f.sum() / n  # constant shift is traceless against A(rho)
+    f -= (f.sum(axis=1) / n)[:, None]  # constant shift is traceless against A(rho)
     # tr(A(rho) g) with vec(A(rho)) = superop vec(rho): the column-stacked
     # vec against the row-major ravel pairs a_ij with g_ji.
-    g = (u * f).dot(u.conj().T)
-    av = superop.dot(v)
-    fisher = av.dot(g.ravel()).real
-    fisher = (fisher if p_exp is None else p_exp * fisher) / n
-    return (fisher / d, fisher, d), (state, f, g, av)
+    g = np.matmul(u * f[:, None, :], u.conj().transpose(0, 2, 1)).reshape(-1, n * n)
+    av = np.matmul(superop, v[:, :, None])[:, :, 0]
+    fi = np.matmul(av[:, None, :], g[:, :, None])[:, 0, 0].real
+    fi = (fi if p_exp is None else p_exp * fi) / n
+    ratio[rows] = fi / d
+    fisher[rows] = fi
+    return (ratio, fisher, entropy), (rows, state, f, g, av)
 
 
 def mlsi_terms(theta, superop, eproj, n):
@@ -189,17 +213,26 @@ def mlsi_terms(theta, superop, eproj, n):
     Returns (ratio, fisher, entropy); ratio is +inf on excluded points
     (spectral cap breach, broken expectation, entropy under the floor).
     """
-    return _fisher_parts(theta, superop, eproj, n, None)[0]
+    return _terms_one(theta, superop, eproj, n, None)
 
 
 def cpsi_terms(theta, superop, eproj, n, p_exp):
     """Objective for the p-ratio I^p(rho)/d^p(rho || E rho), p in (1,2)."""
-    return _fisher_parts(theta, superop, eproj, n, p_exp)[0]
+    return _terms_one(theta, superop, eproj, n, p_exp)
 
 
-def _ratio_value_grad(theta, superop, eproj, n, p_exp):
-    """(ratio, gradient in theta) of the matrix ratio objective; (inf, 0) at
-    an excluded point.
+def _terms_one(theta, superop, eproj, n, p_exp):
+    """(ratio, fisher, entropy) at one parameter vector: a stack of one."""
+    thetas = np.asarray(theta, dtype=np.float64)[None, :]
+    ratio, fisher, entropy = _fisher_parts(thetas, superop, eproj, n, p_exp)[0]
+    return ratio[0], fisher[0], entropy[0]
+
+
+def _ratio_value_grad(thetas, superop, eproj, n, p_exp):
+    """Per-row (ratio, gradient in theta) of the matrix ratio objective over
+    an (R, n^2) stack of parameter vectors: an (R,) array and an (R, n^2)
+    complex array whose real part is the gradient; (inf, 0) on an excluded
+    row.
 
     With R = I/D, grad_rho R = (grad I - R grad D)/D, where, with A^T the
     transpose of the superoperator and E a trace-preserving conditional
@@ -216,39 +249,52 @@ def _ratio_value_grad(theta, superop, eproj, n, p_exp):
     The tilt and log-quotient kernels multiply to 1, so the MLSI term
     D ln rho[A(rho)] enters grad_H as U*A(rho)U itself.
     """
-    (ratio, _, d), parts = _fisher_parts(theta, superop, eproj, n, p_exp)
-    if parts is None:
-        return (np.inf, 0.0)
-    (p, u, mu, ov, _, _), f, g, av = parts
-    ud = u.conj().T
-    a = ud.dot(av.reshape(n, n).T).dot(u)  # U* A(rho) U
+    (ratio, _, d), parts = _fisher_parts(thetas, superop, eproj, n, p_exp)
+    rows, (p, u, mu, ov, _, _), f, g, av = parts
+    grad = np.zeros(thetas.shape, dtype=np.complex128)
+    if not len(rows):
+        return ratio, grad
+    r, d = ratio[rows][:, None, None], d[rows]
+    ud = u.conj().transpose(0, 2, 1)
+    a = np.matmul(np.matmul(ud, av.reshape(-1, n, n).transpose(0, 2, 1)), u)  # U* A(rho) U
     # pre: U* (n D grad_rho R) U without the D f(rho)[A(rho)] term
-    pre = ud.dot(superop.T.dot(g.ravel()).reshape(n, n)).dot(u)
+    at_g = np.matmul(superop.T, g[:, :, None]).reshape(-1, n, n)
+    pre = np.matmul(np.matmul(ud, at_g), u)
     f_sigma = np.log(mu) if p_exp is None else mu ** (p_exp - 1.0)
-    pre += ratio * (ov * f_sigma).dot(ov.conj().T)
-    pre[np.diag_indices(n)] -= ratio * f
-    tilt = kernel_matrix(p, p, KERNEL_TILT, 0.0)
+    pre += r * np.matmul(ov * f_sigma[:, None, :], ov.conj().transpose(0, 2, 1))
+    pre.reshape(-1, n * n)[:, ::n + 1] -= r[:, 0] * f  # the diagonals
+    # kernel_matrix stays a per-row loop: its broadcast form is not bit-identical
+    tilt = np.array([kernel_matrix(x, x, KERNEL_TILT, 0.0) for x in p])
     if p_exp is None:
         t = tilt * pre + a
     else:
-        pre += kernel_matrix(p, p, KERNEL_POWER_QUOTIENT, p_exp) * a
+        pre += np.array([kernel_matrix(x, x, KERNEL_POWER_QUOTIENT, p_exp) for x in p]) * a
         t = tilt * (p_exp * pre)
-    t[np.diag_indices(n)] -= p * (t.trace() / n)  # tr(rho G) = tr(t)
-    gh = u.dot(t / (n * d)).dot(ud)
+    # tr(rho G) = tr(t)
+    t.reshape(-1, n * n)[:, ::n + 1] -= p * (t.trace(axis1=1, axis2=2) / n)[:, None]
+    gh = np.matmul(np.matmul(u, t / (n * d)[:, None, None]), ud)
     # H.ravel() = dec theta, so d/dtheta tr(G_H dH) = vec_rowmajor(G_H^T) dec
-    return (ratio, gh.T.ravel().dot(_decoder(n)).real)
+    grad[rows] = np.matmul(gh.transpose(0, 2, 1).reshape(-1, 1, n * n), _decoder(n))[:, 0]
+    return ratio, grad
+
+
+def _value_grad_one(theta, superop, eproj, n, p_exp):
+    """(ratio, gradient) at one parameter vector: a stack of one."""
+    thetas = np.asarray(theta, dtype=np.float64)[None, :]
+    ratio, grad = _ratio_value_grad(thetas, superop, eproj, n, p_exp)
+    return (np.inf, 0.0) if ratio[0] == np.inf else (ratio[0], grad[0].real)
 
 
 def mlsi_value_grad(theta, superop, eproj, n):
     """(ratio, gradient in theta) of :func:`mlsi_terms`; the ratio is the
     one ``mlsi_terms`` returns, bit for bit."""
-    return _ratio_value_grad(theta, superop, eproj, n, None)
+    return _value_grad_one(theta, superop, eproj, n, None)
 
 
 def cpsi_value_grad(theta, superop, eproj, n, p_exp):
     """(ratio, gradient in theta) of :func:`cpsi_terms`; the ratio is the
     one ``cpsi_terms`` returns, bit for bit."""
-    return _ratio_value_grad(theta, superop, eproj, n, p_exp)
+    return _value_grad_one(theta, superop, eproj, n, p_exp)
 
 
 def classical_terms(theta, mu, incidence, edge_c):

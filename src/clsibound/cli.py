@@ -89,6 +89,9 @@ def _build_target(args):
         g = _read_graph(args.graph)
         if not graphs.is_connected(g):
             raise DisconnectedGraphError("graph is disconnected")
+        if not g.is_uniform():
+            raise ValueError("--graph needs a uniform measure: the matrix "
+                             "generator ignores it")
         n, build, certified = g.n, partial(lindblad.graph_lindblad, g), None
     else:
         prefix = spec.partition(":")[:2]
@@ -114,7 +117,10 @@ def _initial_state(spec: str, s) -> np.ndarray:
     if spec == "fixed":
         return np.eye(n, dtype=complex)
     if spec.startswith("random:"):
-        rng = np.random.default_rng(int(spec.split(":", 1)[1]))
+        try:
+            rng = np.random.default_rng(int(spec.split(":", 1)[1]))
+        except ValueError:  # not an integer, or negative
+            raise ValueError(f"{spec}: the seed must be an integer >= 0") from None
         return batteries.random_state(rng, n)
     with open(spec) as handle:
         return serialize.matrix_from_json(json.load(handle))

@@ -6,7 +6,11 @@ States are parametrized by ``spectral.gibbs_state``, rho(H) = n exp(H)/tr exp(H)
 over Hermitian H (strictly positive, unit normalized trace by construction),
 the local search is a deterministic L-BFGS on the exact gradient of the
 matrix objectives and a deterministic Nelder-Mead on the classical one, and
-restart r draws its start from a generator seeded with ``seed XOR r``.  Every
+restart r draws its start from a generator seeded with ``seed XOR r``.  The
+L-BFGS restarts of one estimate run in lockstep: each search is a generator
+that yields its trial points, and each round one call of the stacked
+value-gradient kernel evaluates the pending points of every live search,
+so each search takes the steps it would take alone.  Every
 reported value, per restart and best, is the ratio objective at its
 parameters (the value-gradient kernels return the ``*_terms`` ratio bit for
 bit), hence a true upper bound on the infimum.  Decay curves measure
@@ -177,19 +181,32 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
 
 def lbfgs(fn_grad: Callable[[np.ndarray], tuple], x0: np.ndarray):
     """Deterministic limited-memory BFGS (two-loop recursion, Liu-Nocedal)
-    with Armijo backtracking.
+    with Armijo backtracking: ``_lbfgs_search`` driven by ``fn_grad(x)``,
+    which returns (f, gradient).  Returns (x_best, f_best, evaluations)."""
+    search = _lbfgs_search(x0)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fn_grad(x))
+    except StopIteration as stop:
+        return stop.value
 
-    ``fn_grad(x)`` returns (f, gradient); a non-finite f marks an excluded
-    point, which the line search rejects like an insufficient decrease.
-    While no curvature pair is kept the step is min(1, 1/|g|) along -g;
-    otherwise it starts at 1 along the quasi-Newton direction scaled by
-    s.y/y.y.  Pairs with s.y <= 0 are not kept.  Every accepted f is below
-    the last.  The search stops when the relative decrease of f falls to
-    REL_DECREASE_TOL, the gradient norm to GRAD_TOL, no step passes the line
-    search, the direction stops being a descent direction, or MAX_ITERS
-    iterations have run.  Returns (x_best, f_best, evaluations)."""
+
+def _lbfgs_search(x0: np.ndarray):
+    """The L-BFGS search of ``lbfgs`` as a generator: it yields each trial
+    point x, is sent (f, gradient) at x, and returns (x_best, f_best,
+    evaluations), so that several searches can share their evaluations.
+
+    A non-finite f marks an excluded point, which the line search rejects
+    like an insufficient decrease.  While no curvature pair is kept the step
+    is min(1, 1/|g|) along -g; otherwise it starts at 1 along the
+    quasi-Newton direction scaled by s.y/y.y.  Pairs with s.y <= 0 are not
+    kept.  Every accepted f is below the last.  The search stops when the
+    relative decrease of f falls to REL_DECREASE_TOL, the gradient norm to
+    GRAD_TOL, no step passes the line search, the direction stops being a
+    descent direction, or MAX_ITERS iterations have run."""
     x = np.array(x0, dtype=float)
-    f, g = fn_grad(x)
+    f, g = yield x
     nfev = 1
     if not math.isfinite(f):
         return x, f, nfev
@@ -217,7 +234,7 @@ def lbfgs(fn_grad: Callable[[np.ndarray], tuple], x0: np.ndarray):
             break
         for _ in range(MAX_HALVINGS + 1):
             x_new = x - step * q
-            f_new, g_new = fn_grad(x_new)
+            f_new, g_new = yield x_new
             nfev += 1
             if f_new <= f + ARMIJO_C1 * step * slope:  # False for inf and nan
                 break
@@ -235,6 +252,28 @@ def lbfgs(fn_grad: Callable[[np.ndarray], tuple], x0: np.ndarray):
         if f_old - f <= REL_DECREASE_TOL * abs(f_old):
             break
     return x, f, nfev
+
+
+def _lockstep_lbfgs(value_grads: Callable[[np.ndarray], tuple], starts) -> list:
+    """One ``_lbfgs_search`` from each start, run in lockstep: each round the
+    pending trial points of the live searches go to ``value_grads`` as one
+    (R, d) stack, which returns R values and an (R, d) complex array whose
+    rows' real parts are the gradients.  Returns each search's (x_best,
+    f_best, evaluations), in start order; every search takes exactly the
+    steps ``lbfgs`` would take from its start alone."""
+    searches = [_lbfgs_search(x0) for x0 in starts]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    results = [None] * len(searches)
+    while pending:
+        live = list(pending)
+        values, grads = value_grads(np.array([pending[i] for i in live]))
+        for row, i in enumerate(live):
+            try:
+                pending[i] = searches[i].send((values[row], grads[row].real))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del pending[i]
+    return results
 
 
 def _expectation_matrix(e_fix, n: int) -> np.ndarray:
@@ -267,11 +306,10 @@ class _MatrixObjective:
     def __call__(self, theta: np.ndarray) -> float:
         return self.terms(theta)[0]
 
-    def value_grad(self, theta: np.ndarray):
-        theta = np.ascontiguousarray(theta, dtype=np.float64)
-        if self.p is None:
-            return _kernels.mlsi_value_grad(theta, self.superop, self.eproj, self.n)
-        return _kernels.cpsi_value_grad(theta, self.superop, self.eproj, self.n, self.p)
+    def value_grads(self, thetas: np.ndarray):
+        """Per-row ratios and complex gradient rows (real part the gradient)
+        over an (R, dof) stack of parameter vectors."""
+        return _kernels._ratio_value_grad(thetas, self.superop, self.eproj, self.n, self.p)
 
     def dof(self) -> int:
         return self.n * self.n
@@ -314,29 +352,16 @@ class _ClassicalObjective:
 def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
                 extra_starts: Sequence[np.ndarray],
                 p: Optional[float] = None) -> EstimateReport:
+    """Draw every start (the extra starts, then restart r from ``seed XOR
+    r``), run the local searches from them, L-BFGS in lockstep for a matrix
+    objective and Nelder-Mead one by one for the classical one, and report
+    the best.  A restart whose draws never leave the fixed-point manifold is
+    degenerate: inf in ``per_restart``, and no search."""
     dof = objective.dof()
-    per_restart = []
-    best_value = np.inf
-    best_theta = None
     starts = [np.asarray(t, dtype=float) for t in extra_starts]
-    degenerate = 0
-
-    def run_one(theta0):
-        nonlocal best_value, best_theta
-        if isinstance(objective, _MatrixObjective):
-            theta, value, _ = lbfgs(objective.value_grad, theta0)
-        else:
-            theta, value, _ = nelder_mead(objective, theta0)
-        per_restart.append(float(value))
-        if value < best_value:
-            best_value = value
-            best_theta = theta
-
     for theta0 in starts:
         if len(theta0) != dof:
             raise ValueError(f"extra start has length {len(theta0)}, expected {dof}")
-        run_one(theta0)
-
     for r in range(opts.restarts):
         rng = np.random.default_rng(np.uint64(opts.seed) ^ np.uint64(r))
         theta0 = None
@@ -345,13 +370,28 @@ def _multistart(objective, opts: EstimateOptions, target: str, kind: str,
             if np.isfinite(objective(cand)):
                 theta0 = cand
                 break
+        starts.append(theta0)
+
+    live = [theta0 for theta0 in starts if theta0 is not None]
+    if isinstance(objective, _MatrixObjective):
+        found = iter(_lockstep_lbfgs(objective.value_grads, live))
+    else:
+        found = iter([nelder_mead(objective, theta0) for theta0 in live])
+    per_restart = []
+    best_value = np.inf
+    best_theta = None
+    for theta0 in starts:
         if theta0 is None:
-            degenerate += 1
             per_restart.append(np.inf)
             continue
-        run_one(theta0)
+        theta, value, _ = next(found)
+        per_restart.append(float(value))
+        if value < best_value:
+            best_value = value
+            best_theta = theta
 
     if best_theta is None or not np.isfinite(best_value):
+        degenerate = len(starts) - len(live)
         raise DegenerateStartError(
             f"all {opts.restarts} restarts landed on the fixed-point manifold "
             f"({degenerate} never left it)")
@@ -454,8 +494,9 @@ def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
     """Entropy decay rows (t, D(T_t rho0 || E rho0), ln D) and the
     least-squares rate of ln D.  Only points with D above DECAY_VALUE_FLOOR
     enter the fit, and at least two must; below it ln D is nan.  The grid
-    must be finite, D non-increasing along it, and every state on it must
-    clear the positivity floor of ``entropy.lindblad_rel_entropy``."""
+    must be finite, the 2-norm of its fitted times a positive finite float,
+    D non-increasing along it, and every state on it must clear the
+    positivity floor of ``entropy.lindblad_rel_entropy``."""
     rho0 = np.asarray(rho0, dtype=complex)
     n = s.dim
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() <= 0:
@@ -492,6 +533,13 @@ def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
     if keep.sum() < 2:
         raise ValueError(f"fewer than two points of the t grid have D above "
                          f"{DECAY_VALUE_FLOOR:g}: no rate to fit")
+    # np.polyfit divides the t column by its 2-norm, taken as the root of a
+    # sum of squares, which must neither underflow to 0 nor overflow.
+    with np.errstate(over="ignore"):
+        t_norm = math.sqrt((ts[keep] ** 2).sum())
+    if not 0.0 < t_norm < math.inf:
+        raise ValueError(f"the times of the t grid are too small or too large "
+                         f"to fit a rate: their 2-norm rounds to {t_norm:g}")
     log_values = np.where(keep, np.log(np.clip(values, 1e-300, None)), np.nan)
     rate = -float(np.polyfit(ts[keep], np.log(values[keep]), 1)[0])
     return DecayCurve(ts=ts, values=values, log_values=log_values, fitted_rate=rate)

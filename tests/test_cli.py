@@ -348,6 +348,42 @@ class TestDecay:
             "error: fewer than two points of the t grid have D above 1e-12: "
             "no rate to fit"]
 
+    def test_measured_graph_exit_two(self, tmp_path, capsys):
+        # graph_lindblad ignores the measure, so the curve would be the
+        # uniform path's
+        graph = '{"n": 3, "edges": [[0,1],[1,2]], "measure": [0.2,0.5,0.3]}'
+        code = cli.main(["decay", "--graph", write(tmp_path, "g.json", graph)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "uniform measure" in captured.err
+
+    def test_times_too_small_to_fit_exit_two(self, capfd):
+        # t^2 underflows to 0, and np.polyfit would divide by that norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["decay", "--target", "pauli", "--state", "zwitness",
+                             "--t-stop", "1e-300", "--t-count", "3"])
+        captured = capfd.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the times of the t grid are too small or too large to fit a "
+            "rate: their 2-norm rounds to 0"]
+
+    def test_small_times_whose_norm_is_positive_still_fit(self, capsys):
+        code = cli.main(["decay", "--target", "pauli", "--state", "zwitness",
+                         "--t-stop", "1e-150", "--t-count", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == "fitted_rate=1.4223635306932943e133\n"
+
+    @pytest.mark.parametrize("spec", ["random:x", "random:", "random:-1", "random:1.5"])
+    def test_malformed_random_seed_names_itself(self, capsys, spec):
+        code = cli.main(["decay", "--target", "pauli", "--state", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {spec}: the seed must be an integer >= 0"]
+
     def test_non_hermitian_state_file_exit_two(self, tmp_path, capsys):
         rho = np.array([[1.0, 0.3], [0.0, 1.0]])
         path = write(tmp_path, "rho.json", json.dumps(serialize.matrix_to_json(rho)))

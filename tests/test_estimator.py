@@ -227,6 +227,112 @@ class TestClsiProbe:
             clsi_probe(pauli_system(), trace_expectation(2), 7)
 
 
+def restart_by_restart(objective, opts, extra_starts=()):
+    """(per_restart, witness_theta) of the multistart run one restart at a
+    time: every start drawn as ``_multistart`` draws it, then searched alone
+    by ``lbfgs`` through the single-theta value-gradient kernel."""
+    args = (objective.superop, objective.eproj, objective.n)
+    if objective.p is None:
+        value_grad = lambda t: _kernels.mlsi_value_grad(t, *args)
+    else:
+        value_grad = lambda t: _kernels.cpsi_value_grad(t, *args, objective.p)
+    starts = [np.asarray(t, dtype=float) for t in extra_starts]
+    for r in range(opts.restarts):
+        rng = np.random.default_rng(np.uint64(opts.seed) ^ np.uint64(r))
+        draws = (rng.normal(scale=estimator.INIT_SCALE, size=objective.dof())
+                 for _ in range(estimator.RESAMPLE_LIMIT))
+        starts.append(next((t for t in draws if np.isfinite(objective(t))), None))
+    per_restart, best_value, best_theta = [], np.inf, None
+    for theta0 in starts:
+        if theta0 is None:
+            per_restart.append(np.inf)
+            continue
+        theta, value, _ = lbfgs(value_grad, theta0)
+        per_restart.append(float(value))
+        if value < best_value:
+            best_value, best_theta = value, theta
+    return per_restart, best_theta
+
+
+def lockstep_case(name, opts):
+    """(report of the public estimate, its objective, its extra starts)."""
+    if name == "pauli[m=2]":
+        s, e = pauli_system(), trace_expectation(2)
+        base = mlsi_estimate(s, e, opts)
+        h = _kernels.hermitian_from_params(base.witness_theta, 2)
+        extra = [_kernels.params_from_hermitian(np.kron(h, np.eye(2)))]
+        lifted = spectral.SpectralSuperoperator.from_matrix(
+            spectral.tensor_with_identity(s.matrix, 2, 2), 4)
+        eproj = spectral.tensor_with_identity(e.superop_matrix(), 2, 2)
+        return (clsi_probe(s, e, 2, opts), estimator._MatrixObjective(lifted, eproj),
+                extra)
+    p, extra = None, []
+    if name == "pauli":
+        s = pauli_system()
+    elif name == "cpsi:pauli":
+        s, p = pauli_system(), 1.5
+    elif name == "depolarizing:3":
+        s = depolarizing(3)
+    elif name == "intspec:0,1,2":
+        s = lindblad.integer_spectrum_lindblad(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    else:  # a 5-vertex graph with the sandwich's two extra starts
+        s = lindblad.graph_lindblad(make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                                   (0, 4), (1, 3)]))
+        diag_embed = np.zeros(25)
+        diag_embed[:5] = np.log([0.4, 1.7, 0.9, 1.2, 0.6])
+        extra = [diag_embed, estimator.gap_seed_matrix(s)]
+    e = fixed_point_dim(s).expectation
+    report = (mlsi_estimate(s, e, opts, extra_starts=extra) if p is None
+              else cpsi_estimate(s, e, p, opts, extra_starts=extra))
+    return report, estimator._MatrixObjective(s, e, p=p), extra
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["pauli", "depolarizing:3", "intspec:0,1,2",
+                                      "cpsi:pauli", "graph5", "pauli[m=2]"])
+    def test_matches_restart_by_restart(self, name):
+        report, objective, extra = lockstep_case(name, EstimateOptions(restarts=6, seed=11))
+        per_restart, theta = restart_by_restart(objective, report.options, extra)
+        assert len(report.per_restart) == 6 + len(extra)
+        assert report.per_restart == per_restart
+        assert report.witness_theta.tobytes() == theta.tobytes()
+
+    @staticmethod
+    def reject_draws(monkeypatch, opts, dof, restarts):
+        """Make every draw of the given restarts an excluded point."""
+        rejected = set()
+        for r in restarts:
+            rng = np.random.default_rng(np.uint64(opts.seed) ^ np.uint64(r))
+            rejected.update(rng.normal(scale=estimator.INIT_SCALE, size=dof).tobytes()
+                            for _ in range(estimator.RESAMPLE_LIMIT))
+        true_terms = _kernels.mlsi_terms
+
+        def terms(theta, *args):
+            if np.asarray(theta).tobytes() in rejected:
+                return (np.inf, 0.0, 0.0)
+            return true_terms(theta, *args)
+
+        monkeypatch.setattr(_kernels, "mlsi_terms", terms)
+
+    def test_degenerate_slots_keep_their_places(self, monkeypatch):
+        s, e = pauli_system(), trace_expectation(2)
+        opts = EstimateOptions(restarts=5, seed=4)
+        extra = [estimator.gap_seed_matrix(s)]
+        full = mlsi_estimate(s, e, opts, extra_starts=extra)
+        self.reject_draws(monkeypatch, opts, 4, restarts=(1, 3))
+        report = mlsi_estimate(s, e, opts, extra_starts=extra)
+        expected = list(full.per_restart)
+        expected[2] = expected[4] = np.inf  # restarts 1 and 3, after the extra start
+        assert report.per_restart == expected
+        assert report.to_json_dict()["per_restart"][2] is None
+
+    def test_every_restart_degenerate_raises(self, monkeypatch):
+        opts = EstimateOptions(restarts=3, seed=4)
+        self.reject_draws(monkeypatch, opts, 4, restarts=range(3))
+        with pytest.raises(DegenerateStartError, match=r"all 3 restarts .*\(3 never left it\)"):
+            mlsi_estimate(pauli_system(), trace_expectation(2), opts)
+
+
 class TestDegenerateStarts:
     def test_error_when_everything_fixed(self):
         # zero superoperator: its kernel projection is the identity map, so
@@ -286,6 +392,12 @@ class TestDecayCurve:
         rho0 = np.eye(2, dtype=complex) + 0.5 * PAULI_Z
         with pytest.raises(ValueError):
             decay_curve(s, trace_expectation(2), rho0, [0.0, 0.0, 1.0])
+
+    def test_times_whose_squares_underflow_are_refused(self):
+        s = pauli_system()
+        rho0 = np.eye(2, dtype=complex) + 0.5 * PAULI_Z
+        with pytest.raises(ValueError, match="too small or too large to fit"):
+            decay_curve(s, trace_expectation(2), rho0, [0.0, 1e-300, 2e-300])
 
 
 class TestClassicalEstimate:

@@ -104,6 +104,100 @@ class TestValueGrad:
         assert _kernels.cpsi_value_grad(np.zeros(4), superop, eproj, n, 1.5) == (np.inf, 0.0)
 
 
+def one_row_value_grad(theta, superop, eproj, n, p_exp):
+    """(ratio, gradient) of the matrix ratio objective at one parameter
+    vector, written with 2-d ``ndarray.dot`` products: the arithmetic that
+    each row of the stacked kernel must reproduce bit for bit."""
+    k = _kernels
+    w, u = np.linalg.eigh(k.hermitian_from_params(theta, n))
+    if max(w[n - 1], -w[0]) > k.H_CAP:
+        return (np.inf, 0.0)
+    z = np.exp(w)
+    p = (n / z.sum()) * z
+    ud = u.conj().T
+    v = (u * p).dot(ud).T.ravel()
+    raw = eproj.dot(v).reshape(n, n).T
+    tr = raw.trace().real
+    if tr <= 0.0:
+        return (np.inf, 0.0)
+    mu, vmat = np.linalg.eigh(0.5 * (raw + raw.conj().T) * (n / tr))
+    if mu[0] <= k._EXPECTATION_FLOOR * mu[n - 1] or mu[0] <= 0.0:
+        return (np.inf, 0.0)
+    ov = ud.dot(vmat)
+    overlap = ov.real * ov.real + ov.imag * ov.imag
+    if p_exp is None:
+        d = (overlap * mu * k.bregman(p[:, None] / mu)).sum() / n
+    else:
+        d = (overlap * k.bregman_power(p[:, None], mu, p_exp)).sum() / n
+    if d < k.ENTROPY_FLOOR:
+        return (np.inf, 0.0)
+    f = np.log(p) if p_exp is None else p ** (p_exp - 1.0)
+    f -= f.sum() / n
+    g = (u * f).dot(ud)
+    av = superop.dot(v)
+    fisher = av.dot(g.ravel()).real
+    ratio = (fisher if p_exp is None else p_exp * fisher) / n / d
+    a = ud.dot(av.reshape(n, n).T).dot(u)
+    pre = ud.dot(superop.T.dot(g.ravel()).reshape(n, n)).dot(u)
+    f_sigma = np.log(mu) if p_exp is None else mu ** (p_exp - 1.0)
+    pre += ratio * (ov * f_sigma).dot(ov.conj().T)
+    pre[np.diag_indices(n)] -= ratio * f
+    tilt = k.kernel_matrix(p, p, k.KERNEL_TILT, 0.0)
+    if p_exp is None:
+        t = tilt * pre + a
+    else:
+        pre += k.kernel_matrix(p, p, k.KERNEL_POWER_QUOTIENT, p_exp) * a
+        t = tilt * (p_exp * pre)
+    t[np.diag_indices(n)] -= p * (t.trace() / n)
+    gh = u.dot(t / (n * d)).dot(ud)
+    return (ratio, gh.T.ravel().dot(k._decoder(n)).real)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("p", [None, 1.5])
+    @pytest.mark.parametrize("name", ["pauli", "depolarizing:3", "C5"])
+    def test_rows_reproduce_the_one_row_arithmetic(self, name, p):
+        superop, eproj, n = gradient_system(name)
+        rng = np.random.default_rng(50 + n)
+        thetas = np.concatenate([rng.normal(scale=scale, size=(16, n * n))
+                                 for scale in (0.01, 0.3, 1.0, 3.0, 12.0)])
+        ratio, grad = _kernels._ratio_value_grad(thetas, superop, eproj, n, p)
+        excluded = 0
+        for i, theta in enumerate(thetas):
+            ref_ratio, ref_grad = one_row_value_grad(theta, superop, eproj, n, p)
+            assert ratio[i] == ref_ratio
+            if ref_ratio == np.inf:
+                excluded += 1
+                assert not grad[i].any()
+            else:
+                assert grad[i].real.tobytes() == ref_grad.tobytes()
+        assert 0 < excluded < len(thetas)
+
+    @pytest.mark.parametrize("p", [None, 1.5])
+    def test_excluded_rows_and_single_calls(self, p):
+        superop, eproj, n = gradient_system("depolarizing:3")
+        thetas = np.array(interior_thetas(n, seed=40, count=6))
+        thetas[1] = 0.0  # the maximally mixed state: entropy under the floor
+        thetas[4, 0] = 50.0  # spectral cap breach
+        ratio, grad = _kernels._ratio_value_grad(thetas, superop, eproj, n, p)
+        terms = _kernels._fisher_parts(thetas, superop, eproj, n, p)[0]
+        for i, theta in enumerate(thetas):
+            if p is None:
+                single = _kernels.mlsi_value_grad(theta, superop, eproj, n)
+                single_terms = _kernels.mlsi_terms(theta, superop, eproj, n)
+            else:
+                single = _kernels.cpsi_value_grad(theta, superop, eproj, n, p)
+                single_terms = _kernels.cpsi_terms(theta, superop, eproj, n, p)
+            assert [t[i] for t in terms] == list(single_terms)
+            if i in (1, 4):
+                assert ratio[i] == np.inf and not grad[i].any()
+                assert single == (np.inf, 0.0)
+            else:
+                assert ratio[i].tobytes() == single[0].tobytes()
+                assert grad[i].real.tobytes() == single[1].tobytes()
+                assert grad[i].real.strides == single[1].strides == (16,)
+
+
 class TestKernelMatrix:
     def test_log_quotient_values(self):
         k = _kernels.kernel_matrix(np.array([1.0, 4.0]), np.array([1.0, 4.0]),
