@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels and check their values.
 
-Times each kernel per call, the value-gradient kernels of the L-BFGS search
-next to the ratio objectives, and the stacked value-gradient kernel that
-the lockstep multistart calls, per restart evaluation at stacks of R = 1, 12
-and 48 rows.  Then checks every kernel value against an independent
-evaluation: the ratio objectives against the ``entropy`` functionals at the
-witness state, the DOI kernel matrix against its closed form.  Any relative
-disagreement above 1e-10 fails the run, and so do a value-gradient ratio
-that is not the ratio objective's bit for bit and a stacked row whose value
-or gradient is not its single-theta call's bit for bit.
+Times each kernel per call, and the stacked value-gradient kernel that the
+lockstep L-BFGS calls, for the MLSI and the p-Sobolev objective, per
+restart evaluation at stacks of R = 1, 12 and 48 rows.  Then checks every
+kernel value against an independent evaluation: the ratio objectives
+against the ``entropy`` functionals at the witness state, the DOI kernel
+matrix against its closed form.  Any relative disagreement above 1e-10
+fails the run, and so do a value-gradient ratio that is not the ratio
+objective's bit for bit and a stacked row whose value or gradient is not
+its stack-of-one call's bit for bit.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -17,6 +17,7 @@ Usage: python benchmarks/bench_kernels.py [--repeats N]
 import argparse
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,14 @@ def build_case(n, seed):
     return theta, superop_from_generators(gens, n), lindblad.trace_expectation(n)
 
 
+def at_least_one(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 1")
+    return value
+
+
 def timeit(fn, repeats):
     fn()  # warm-up
     start = time.perf_counter()
@@ -52,13 +61,13 @@ def timeit(fn, repeats):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=2000)
+    parser.add_argument("--repeats", type=at_least_one, default=2000)
     args = parser.parse_args()
 
     timings = {}
     pairs = {}  # name -> (kernel values, reference values)
     unequal = []  # value-gradient kernels whose ratio differs from *_terms
-    unstacked = []  # stacked rows that differ from their single-theta call
+    unstacked = []  # stacked rows that differ from their stack-of-one call
 
     x = np.linspace(0.1, 8.0, 64)
     timings["kernel_matrix(64x64)"] = timeit(
@@ -76,34 +85,27 @@ def main() -> int:
     for n in (2, 5, 8):
         theta, s, e = build_case(n, seed=n)
         eproj = e.superop_matrix()
-        kernels = {
-            f"mlsi_terms(n={n})": lambda: _kernels.mlsi_terms(theta, s.matrix, eproj, n),
-            f"mlsi_value_grad(n={n})":
-                lambda: _kernels.mlsi_value_grad(theta, s.matrix, eproj, n),
-            f"cpsi_terms(n={n}, p={p})":
-                lambda: _kernels.cpsi_terms(theta, s.matrix, eproj, n, p),
-            f"cpsi_value_grad(n={n}, p={p})":
-                lambda: _kernels.cpsi_value_grad(theta, s.matrix, eproj, n, p),
-        }
-        for key, fn in kernels.items():
-            timings[key] = timeit(fn, args.repeats)
-        values = [fn()[0] for fn in kernels.values()]
-        if values[0] != values[1]:
-            unequal.append(f"mlsi(n={n})")
-        if values[2] != values[3]:
-            unequal.append(f"cpsi(n={n})")
         thetas = np.random.default_rng(100 + n).normal(size=(max(STACKS), n * n))
-        for rows in STACKS:
-            stack = thetas[:rows]
-            timings[f"stacked value_grad(n={n}, R={rows})"] = timeit(
-                lambda: _kernels._ratio_value_grad(stack, s.matrix, eproj, n, None),
-                max(1, args.repeats // rows)) / rows
-        ratios, grads = _kernels._ratio_value_grad(thetas, s.matrix, eproj, n, None)
-        for row, one in enumerate(thetas):
-            ratio, grad = _kernels.mlsi_value_grad(one, s.matrix, eproj, n)
-            if (ratios[row].tobytes() != np.float64(ratio).tobytes()
-                    or grads[row].real.tobytes() != np.asarray(grad).tobytes()):
-                unstacked.append(f"n={n} row {row}")
+        for kind, p_exp, terms_key, terms in (
+                ("mlsi", None, f"mlsi_terms(n={n})",
+                 lambda: _kernels.mlsi_terms(theta, s.matrix, eproj, n)),
+                ("cpsi", p, f"cpsi_terms(n={n}, p={p})",
+                 lambda: _kernels.cpsi_terms(theta, s.matrix, eproj, n, p))):
+            timings[terms_key] = timeit(terms, args.repeats)
+            value_grad = partial(_kernels._ratio_value_grad, superop=s.matrix,
+                                 eproj=eproj, n=n, p_exp=p_exp)
+            for rows in STACKS:
+                stack = thetas[:rows]
+                timings[f"{kind} value_grad(n={n}, R={rows})"] = timeit(
+                    lambda: value_grad(stack), max(1, args.repeats // rows)) / rows
+            if value_grad(theta[None])[0][0] != terms()[0]:
+                unequal.append(f"{kind}(n={n})")
+            ratios, grads = value_grad(thetas)
+            for row, one in enumerate(thetas):
+                ratio, grad = value_grad(one[None])
+                if (ratios[row].tobytes() != ratio[0].tobytes()
+                        or grads[row].real.tobytes() != grad[0].real.tobytes()):
+                    unstacked.append(f"{kind}(n={n}) row {row}")
         rho = estimator._MatrixObjective(s, e).witness(theta)
         sigma = e(rho)
         _, fisher, d = _kernels.mlsi_terms(theta, s.matrix, eproj, n)
@@ -142,7 +144,7 @@ def main() -> int:
               f"{', '.join(unequal)}", file=sys.stderr)
         failed = True
     if unstacked:
-        print(f"ERROR: stacked value-gradient rows differ from their single-theta "
+        print(f"ERROR: stacked value-gradient rows differ from their stack-of-one "
               f"calls: {', '.join(unstacked)}", file=sys.stderr)
         failed = True
     return 1 if failed else 0

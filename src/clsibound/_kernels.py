@@ -9,15 +9,17 @@ kernel matrix (Daleckii-Krein divided differences), and return the
 objective's ratio bit for bit.
 
 The matrix objectives have one body, over an (R, n^2) stack of parameter
-vectors: the lockstep L-BFGS of ``estimator`` evaluates every live restart
-in one call, and the single-parameter kernels are stacks of one.  Each row
-comes out bit for bit as it would alone: the eigendecompositions run on
-(R, n, n) stacks, the products are ``np.matmul`` on stacks (the
-matrix-vector and inner products as (n^2, 1) and (1, n^2) operands, which
-keep the BLAS routine of the one-row call), and the kernel matrix stays a
-per-row plain loop, whose broadcast form rounds differently.  An excluded
-row (spectral cap breach, broken expectation, entropy under the floor)
-leaves the stack where it is detected and gets (inf, 0).
+vectors.  ``_ratio_value_grad`` is the one value-gradient entry: the
+lockstep L-BFGS of ``estimator`` evaluates every live restart in one call
+of it.  The single-parameter objectives ``mlsi_terms`` and ``cpsi_terms``
+are stacks of one.  Each row comes out bit for bit as it would alone: the
+eigendecompositions run on (R, n, n) stacks, the products are
+``np.matmul`` on stacks (the matrix-vector and inner products as (n^2, 1)
+and (1, n^2) operands, which keep the BLAS routine of the one-row call),
+and the kernel matrix stays a per-row plain loop, whose broadcast form
+rounds differently.  An excluded row (spectral cap breach, broken
+expectation, entropy under the floor) leaves the stack where it is
+detected and gets (inf, 0).
 """
 
 from __future__ import annotations
@@ -276,25 +278,6 @@ def _ratio_value_grad(thetas, superop, eproj, n, p_exp):
     # H.ravel() = dec theta, so d/dtheta tr(G_H dH) = vec_rowmajor(G_H^T) dec
     grad[rows] = np.matmul(gh.transpose(0, 2, 1).reshape(-1, 1, n * n), _decoder(n))[:, 0]
     return ratio, grad
-
-
-def _value_grad_one(theta, superop, eproj, n, p_exp):
-    """(ratio, gradient) at one parameter vector: a stack of one."""
-    thetas = np.asarray(theta, dtype=np.float64)[None, :]
-    ratio, grad = _ratio_value_grad(thetas, superop, eproj, n, p_exp)
-    return (np.inf, 0.0) if ratio[0] == np.inf else (ratio[0], grad[0].real)
-
-
-def mlsi_value_grad(theta, superop, eproj, n):
-    """(ratio, gradient in theta) of :func:`mlsi_terms`; the ratio is the
-    one ``mlsi_terms`` returns, bit for bit."""
-    return _value_grad_one(theta, superop, eproj, n, None)
-
-
-def cpsi_value_grad(theta, superop, eproj, n, p_exp):
-    """(ratio, gradient in theta) of :func:`cpsi_terms`; the ratio is the
-    one ``cpsi_terms`` returns, bit for bit."""
-    return _value_grad_one(theta, superop, eproj, n, p_exp)
 
 
 def classical_terms(theta, mu, incidence, edge_c):

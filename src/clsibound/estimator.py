@@ -7,15 +7,15 @@ over Hermitian H (strictly positive, unit normalized trace by construction),
 the local search is a deterministic L-BFGS on the exact gradient of the
 matrix objectives and a deterministic Nelder-Mead on the classical one, and
 restart r draws its start from a generator seeded with ``seed XOR r``.  The
-L-BFGS restarts of one estimate run in lockstep: each search is a generator
-that yields its trial points, and each round one call of the stacked
-value-gradient kernel evaluates the pending points of every live search,
-so each search takes the steps it would take alone.  Every
-reported value, per restart and best, is the ratio objective at its
-parameters (the value-gradient kernels return the ``*_terms`` ratio bit for
-bit), hence a true upper bound on the infimum.  Decay curves measure
-D(T_t rho0 || E rho0) with ``entropy.lindblad_rel_entropy``, the routine the
-batteries check.
+L-BFGS restarts of one estimate run in lockstep (``_lockstep_lbfgs``, the
+one L-BFGS driver): each search is a generator that yields its trial
+points, and each round one call of the stacked value-gradient kernel
+evaluates the pending points of every live search, so each search takes
+the steps it would take alone.  Every reported value, per restart and best,
+is the ratio objective at its parameters (the value-gradient kernel returns
+the ``*_terms`` ratio bit for bit), hence a true upper bound on the
+infimum.  Decay curves measure D(T_t rho0 || E rho0) with
+``entropy.lindblad_rel_entropy``, the routine the batteries check.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ SEARCH_TOL = 1e-8
 ORDERING_SLACK = SANDWICH_BASE_SLACK + SEARCH_TOL
 DECAY_MONOTONE_TOL = 1e-10
 DECAY_VALUE_FLOOR = 1e-12
+# A decay grid whose fitted D values all lie within this many ulps of the
+# largest shows no measurable decrease, and a rate fitted to it is rounding
+# noise: moving a state by its own rounding (a traceless 1e-16 relative
+# change) moved D by up to 15 ulps on the two-level zwitness and on random
+# 3- and 4-level states.
+DECAY_MIN_DROP_ULPS = 16
 GAP_SEED_SCALE = 1e-3
 # Local-search iteration budget per restart, the spread of a random start's
 # Gaussian parameters, and the draws a restart may spend to leave the
@@ -179,23 +185,12 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     return xs[best], fs[best], nfev
 
 
-def lbfgs(fn_grad: Callable[[np.ndarray], tuple], x0: np.ndarray):
-    """Deterministic limited-memory BFGS (two-loop recursion, Liu-Nocedal)
-    with Armijo backtracking: ``_lbfgs_search`` driven by ``fn_grad(x)``,
-    which returns (f, gradient).  Returns (x_best, f_best, evaluations)."""
-    search = _lbfgs_search(x0)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(fn_grad(x))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _lbfgs_search(x0: np.ndarray):
-    """The L-BFGS search of ``lbfgs`` as a generator: it yields each trial
-    point x, is sent (f, gradient) at x, and returns (x_best, f_best,
-    evaluations), so that several searches can share their evaluations.
+    """Deterministic limited-memory BFGS (two-loop recursion, Liu-Nocedal)
+    with Armijo backtracking, as a generator that ``_lockstep_lbfgs`` drives:
+    it yields each trial point x, is sent (f, gradient) at x, and returns
+    (x_best, f_best, evaluations), so that several searches can share their
+    evaluations.
 
     A non-finite f marks an excluded point, which the line search rejects
     like an insufficient decrease.  While no curvature pair is kept the step
@@ -260,7 +255,7 @@ def _lockstep_lbfgs(value_grads: Callable[[np.ndarray], tuple], starts) -> list:
     (R, d) stack, which returns R values and an (R, d) complex array whose
     rows' real parts are the gradients.  Returns each search's (x_best,
     f_best, evaluations), in start order; every search takes exactly the
-    steps ``lbfgs`` would take from its start alone."""
+    steps it would take from its start alone, as a stack of one."""
     searches = [_lbfgs_search(x0) for x0 in starts]
     pending = {i: next(search) for i, search in enumerate(searches)}
     results = [None] * len(searches)
@@ -495,8 +490,9 @@ def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
     least-squares rate of ln D.  Only points with D above DECAY_VALUE_FLOOR
     enter the fit, and at least two must; below it ln D is nan.  The grid
     must be finite, the 2-norm of its fitted times a positive finite float,
-    D non-increasing along it, and every state on it must clear the
-    positivity floor of ``entropy.lindblad_rel_entropy``."""
+    D non-increasing along it and, over the fitted points, lower by more
+    than DECAY_MIN_DROP_ULPS ulps of the largest, and every state on it must
+    clear the positivity floor of ``entropy.lindblad_rel_entropy``."""
     rho0 = np.asarray(rho0, dtype=complex)
     n = s.dim
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() <= 0:
@@ -540,8 +536,12 @@ def decay_curve(s: SpectralSuperoperator, e_fix, rho0, t_grid) -> DecayCurve:
     if not 0.0 < t_norm < math.inf:
         raise ValueError(f"the times of the t grid are too small or too large "
                          f"to fit a rate: their 2-norm rounds to {t_norm:g}")
+    fitted = values[keep]
+    if fitted.max() - fitted.min() <= DECAY_MIN_DROP_ULPS * np.spacing(fitted.max()):
+        raise ValueError(f"D falls by at most {DECAY_MIN_DROP_ULPS} ulps along the "
+                         f"t grid: no measurable decrease to fit a rate to")
     log_values = np.where(keep, np.log(np.clip(values, 1e-300, None)), np.nan)
-    rate = -float(np.polyfit(ts[keep], np.log(values[keep]), 1)[0])
+    rate = -float(np.polyfit(ts[keep], np.log(fitted), 1)[0])
     return DecayCurve(ts=ts, values=values, log_values=log_values, fitted_rate=rate)
 
 

@@ -370,11 +370,18 @@ class TestDecay:
             "error: the times of the t grid are too small or too large to fit a "
             "rate: their 2-norm rounds to 0"]
 
-    def test_small_times_whose_norm_is_positive_still_fit(self, capsys):
+    @pytest.mark.parametrize("t_stop", ["1e-150", "1e-20"])
+    def test_no_measurable_decrease_exit_two(self, tmp_path, capsys, t_stop):
+        # the times' 2-norm is a positive float, but D(t) equals D(0) to its
+        # last bits, so a fitted rate (1.4e133 and 1.4e3) would be noise
+        csv_path = tmp_path / "decay.csv"
         code = cli.main(["decay", "--target", "pauli", "--state", "zwitness",
-                         "--t-stop", "1e-150", "--t-count", "3"])
-        assert code == 0
-        assert capsys.readouterr().out == "fitted_rate=1.4223635306932943e133\n"
+                         "--t-stop", t_stop, "--t-count", "3", "--out", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not csv_path.exists()
+        assert captured.err.splitlines() == [
+            f"error: D falls by at most {estimator.DECAY_MIN_DROP_ULPS} ulps along "
+            f"the t grid: no measurable decrease to fit a rate to"]
 
     @pytest.mark.parametrize("spec", ["random:x", "random:", "random:-1", "random:1.5"])
     def test_malformed_random_seed_names_itself(self, capsys, spec):
@@ -548,6 +555,7 @@ class TestOptions:
         ["estimate", "--target", "pauli", "--seed", "-1"],
         ["estimate", "--target", "pauli", "--seed", str(2 ** 64)],
         ["estimate", "--target", "pauli", "--restarts", "0"],
+        ["estimate", "--target", "pauli", "--restarts", str(cli.MAX_RESTARTS + 1)],
         ["estimate", "--target", "pauli", "--m", "0"],
         # --tol is removed: a value once out of its range is still refused
         ["estimate", "--target", "pauli", "--tol", "nan"],
@@ -573,6 +581,9 @@ class TestOptions:
             ["estimate", "--target", "pauli", "--seed", str(2 ** 64 - 1),
              "--restarts", "1", "--m", "1"])
         assert (args.seed, args.restarts, args.m) == (2 ** 64 - 1, 1, 1)
+        args = cli.build_parser().parse_args(
+            ["estimate", "--target", "pauli", "--restarts", str(cli.MAX_RESTARTS)])
+        assert args.restarts == cli.MAX_RESTARTS
         args = cli.build_parser().parse_args(["verify", "--trials", "1"])
         assert args.trials == 1
         args = cli.build_parser().parse_args(

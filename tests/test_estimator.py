@@ -15,7 +15,6 @@ from clsibound.estimator import (
     cpsi_estimate,
     decay_curve,
     evaluate_ratio,
-    lbfgs,
     mlsi_estimate,
     nelder_mead,
     ordering_holds,
@@ -61,10 +60,21 @@ class TestNelderMead:
         assert np.all(np.diff(running) <= 0)
 
 
+def search_alone(fn_grad, x0):
+    """(x_best, f_best, evaluations) of one L-BFGS search from x0, run by the
+    lockstep driver as a stack of one; ``fn_grad(x)`` returns (f, gradient)
+    at one point."""
+    def value_grads(xs):
+        f, g = fn_grad(xs[0])
+        return [f], np.broadcast_to(g, xs.shape)
+    return estimator._lockstep_lbfgs(value_grads, [x0])[0]
+
+
 def accepted_values(calls, x_final):
-    """The f values lbfgs accepted, read off its log of (x, f) evaluations:
-    a rejected trial is followed by the trial at half its step from the same
-    point, and the last trial was accepted if it is the returned point."""
+    """The f values the search accepted, read off its log of (x, f)
+    evaluations: a rejected trial is followed by the trial at half its step
+    from the same point, and the last trial was accepted if it is the
+    returned point."""
     base_x, accepted = calls[0][0], [calls[0][1]]
     for k, (x, f) in enumerate(calls[1:], start=1):
         if k + 1 < len(calls):
@@ -82,7 +92,7 @@ class TestLbfgs:
     def test_quadratic_minimum(self):
         fn_grad = lambda x: (float((x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2),
                              np.array([2.0 * (x[0] - 1.0), 4.0 * (x[1] + 0.5)]))
-        x, fx, nfev = lbfgs(fn_grad, np.array([3.0, 3.0]))
+        x, fx, nfev = search_alone(fn_grad, np.array([3.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, -0.5], atol=1e-6)
         assert fx < 1e-12 and nfev > 0
 
@@ -97,7 +107,7 @@ class TestLbfgs:
                 return np.inf, 0.0
             return float(np.logaddexp(x[0], -x[0]) - np.log(2.0)), np.tanh(x)
 
-        x, fx, _ = lbfgs(fn_grad, np.array([8.0]))
+        x, fx, _ = search_alone(fn_grad, np.array([8.0]))
         assert excluded
         assert np.isfinite(fx) and fx < 1e-10
 
@@ -111,7 +121,7 @@ class TestLbfgs:
             calls.append((x.copy(), f))
             return f, g
 
-        x, fx, nfev = lbfgs(fn_grad, np.array([-1.2, 1.0]))
+        x, fx, nfev = search_alone(fn_grad, np.array([-1.2, 1.0]))
         assert nfev == len(calls)
         accepted = accepted_values(calls, x)
         assert accepted[-1] == fx
@@ -230,12 +240,7 @@ class TestClsiProbe:
 def restart_by_restart(objective, opts, extra_starts=()):
     """(per_restart, witness_theta) of the multistart run one restart at a
     time: every start drawn as ``_multistart`` draws it, then searched alone
-    by ``lbfgs`` through the single-theta value-gradient kernel."""
-    args = (objective.superop, objective.eproj, objective.n)
-    if objective.p is None:
-        value_grad = lambda t: _kernels.mlsi_value_grad(t, *args)
-    else:
-        value_grad = lambda t: _kernels.cpsi_value_grad(t, *args, objective.p)
+    by the lockstep driver as a stack of one."""
     starts = [np.asarray(t, dtype=float) for t in extra_starts]
     for r in range(opts.restarts):
         rng = np.random.default_rng(np.uint64(opts.seed) ^ np.uint64(r))
@@ -247,7 +252,7 @@ def restart_by_restart(objective, opts, extra_starts=()):
         if theta0 is None:
             per_restart.append(np.inf)
             continue
-        theta, value, _ = lbfgs(value_grad, theta0)
+        theta, value, _ = estimator._lockstep_lbfgs(objective.value_grads, [theta0])[0]
         per_restart.append(float(value))
         if value < best_value:
             best_value, best_theta = value, theta
@@ -296,6 +301,16 @@ class TestLockstep:
         assert len(report.per_restart) == 6 + len(extra)
         assert report.per_restart == per_restart
         assert report.witness_theta.tobytes() == theta.tobytes()
+
+    def test_excluded_extra_start_keeps_its_slot(self):
+        # theta = 0 is the maximally mixed state, whose entropy is under the
+        # floor: its search ends at its first evaluation, inside the lockstep
+        s, e = pauli_system(), trace_expectation(2)
+        opts = EstimateOptions(restarts=5, seed=4)
+        full = mlsi_estimate(s, e, opts)
+        report = mlsi_estimate(s, e, opts, extra_starts=[np.zeros(4)])
+        assert report.per_restart == [np.inf] + full.per_restart
+        assert report.witness_theta.tobytes() == full.witness_theta.tobytes()
 
     @staticmethod
     def reject_draws(monkeypatch, opts, dof, restarts):

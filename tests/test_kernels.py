@@ -1,6 +1,12 @@
 """Hot kernels: the ratio objectives agree with the independent entropy
 and Fisher functionals; their gradients agree with central differences; DOI
-kernel values; parameter encoding round-trips; objective guards."""
+kernel values; parameter encoding round-trips; objective guards; the kernel
+bench passes its own gates."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from clsibound import _kernels, entropy, estimator, lindblad
 from clsibound.graphs import make_graph
 
 PARITY_REL = 1e-12
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def cycle_system(n):
@@ -79,6 +86,14 @@ def gradient_system(name):
     return np.ascontiguousarray(s.matrix, dtype=complex), e.superop_matrix(), s.dim
 
 
+def value_grad(theta, superop, eproj, n, p_exp):
+    """(ratio, gradient) at one parameter vector: row 0 of the stacked kernel
+    on a stack of one, the gradient as the ``.real`` view of its complex row
+    that the lockstep L-BFGS passes to each search."""
+    ratio, grad = _kernels._ratio_value_grad(theta[None], superop, eproj, n, p_exp)
+    return ratio[0], grad[0].real
+
+
 class TestValueGrad:
     @pytest.mark.parametrize("p", [None, 1.5])
     @pytest.mark.parametrize("name", ["pauli", "depolarizing:3", "C5"])
@@ -86,12 +101,10 @@ class TestValueGrad:
         superop, eproj, n = gradient_system(name)
         if p is None:
             terms = lambda t: _kernels.mlsi_terms(t, superop, eproj, n)
-            value_grad = lambda t: _kernels.mlsi_value_grad(t, superop, eproj, n)
         else:
             terms = lambda t: _kernels.cpsi_terms(t, superop, eproj, n, p)
-            value_grad = lambda t: _kernels.cpsi_value_grad(t, superop, eproj, n, p)
         for theta in interior_thetas(n, seed=30 + n):
-            ratio, grad = value_grad(theta)
+            ratio, grad = value_grad(theta, superop, eproj, n, p)
             assert ratio == terms(theta)[0]
             central = np.array([
                 (terms(theta + GRAD_STEP * e)[0] - terms(theta - GRAD_STEP * e)[0])
@@ -100,8 +113,9 @@ class TestValueGrad:
 
     def test_excluded_point(self):
         superop, eproj, n = gradient_system("pauli")
-        assert _kernels.mlsi_value_grad(np.zeros(4), superop, eproj, n) == (np.inf, 0.0)
-        assert _kernels.cpsi_value_grad(np.zeros(4), superop, eproj, n, 1.5) == (np.inf, 0.0)
+        for p in (None, 1.5):
+            ratio, grad = value_grad(np.zeros(4), superop, eproj, n, p)
+            assert ratio == np.inf and grad.shape == (4,) and not grad.any()
 
 
 def one_row_value_grad(theta, superop, eproj, n, p_exp):
@@ -182,16 +196,15 @@ class TestStackedKernel:
         ratio, grad = _kernels._ratio_value_grad(thetas, superop, eproj, n, p)
         terms = _kernels._fisher_parts(thetas, superop, eproj, n, p)[0]
         for i, theta in enumerate(thetas):
+            single = value_grad(theta, superop, eproj, n, p)
             if p is None:
-                single = _kernels.mlsi_value_grad(theta, superop, eproj, n)
                 single_terms = _kernels.mlsi_terms(theta, superop, eproj, n)
             else:
-                single = _kernels.cpsi_value_grad(theta, superop, eproj, n, p)
                 single_terms = _kernels.cpsi_terms(theta, superop, eproj, n, p)
             assert [t[i] for t in terms] == list(single_terms)
             if i in (1, 4):
                 assert ratio[i] == np.inf and not grad[i].any()
-                assert single == (np.inf, 0.0)
+                assert single[0] == np.inf and not single[1].any()
             else:
                 assert ratio[i].tobytes() == single[0].tobytes()
                 assert grad[i].real.tobytes() == single[1].tobytes()
@@ -312,3 +325,25 @@ class TestObjectiveGuards:
         ratio, fisher, d = _kernels.mlsi_terms(np.array([0.5, -0.5, 0.2, 0.1]),
                                                superop, eproj, n)
         assert np.isfinite(ratio) and fisher > 0 and d > 0
+
+
+def run_bench(*options):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
+                           *options], capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestBench:
+    def test_one_repeat_passes_every_gate(self):
+        # the gates: 1e-10 against the functionals, each value-gradient ratio
+        # equal to its *_terms ratio, each stacked row equal to its stack of one
+        run = run_bench("--repeats", "1")
+        assert run.returncode == 0, run.stderr
+        assert "ERROR" not in run.stdout + run.stderr
+        assert "mlsi value_grad(n=8, R=1)" in run.stdout
+        assert "cpsi value_grad(n=8, R=48)" in run.stdout
+
+    def test_zero_repeats_exit_two(self):
+        run = run_bench("--repeats", "0")
+        assert run.returncode == 2 and run.stdout == ""
+        assert "0 is not an integer >= 1" in run.stderr
